@@ -185,6 +185,14 @@ NodeId BddManager::make_node(VarIndex var, NodeId lo, NodeId hi) {
 NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
   if (live_count_ + 2 >= hard_node_limit_) throw BddOverflow(hard_node_limit_);
 
+  // Grow the unique table before the load factor reaches 1, and before
+  // the new slot is claimed: rehash() relinks every used slot, and a
+  // claimed slot still holding stale fields would be linked into (and
+  // then cut out of the middle of) some bucket chain.
+  if (live_count_ + 3 > buckets_.size()) {
+    rehash(buckets_.size() * 2);
+  }
+
   NodeId id;
   if (free_head_ != kFalseId) {
     id = free_head_;
@@ -198,11 +206,6 @@ NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
   ++live_count_;
   ++stats_.nodes_created;
   stats_.peak_live_nodes = std::max(stats_.peak_live_nodes, live_count_);
-
-  // Grow the unique table before the load factor reaches 1.
-  if (live_count_ + 2 > buckets_.size()) {
-    rehash(buckets_.size() * 2);
-  }
 
   const std::size_t bucket = bucket_of(var, lo, hi);
   nodes_[id] = Node{var, lo, hi, buckets_[bucket]};

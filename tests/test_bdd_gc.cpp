@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
 #include "bdd/bdd.h"
 #include "util/rng.h"
 
@@ -140,6 +143,58 @@ TEST(BddGc, ManagerOutlivesDetachedHandles) {
     EXPECT_FALSE(stray.is_null());
   }
   EXPECT_TRUE(stray.is_null());
+}
+
+/// Number of internal nodes reachable from `roots` that the unique
+/// table fails to return when the node is rebuilt from its own
+/// (var, high, low) triple — each one is a duplicated node.
+std::size_t unfindable_nodes(BddManager& mgr, const std::vector<Bdd>& roots) {
+  std::unordered_set<NodeId> seen;
+  std::vector<Bdd> stack(roots.begin(), roots.end());
+  std::size_t missing = 0;
+  while (!stack.empty()) {
+    const Bdd f = stack.back();
+    stack.pop_back();
+    if (f.is_const() || !seen.insert(f.id()).second) continue;
+    const Bdd hi = f.high(), lo = f.low();
+    if (mgr.ite(mgr.var(f.top_var()), hi, lo) != f) ++missing;
+    stack.push_back(hi);
+    stack.push_back(lo);
+  }
+  return missing;
+}
+
+TEST(BddGc, UniqueTableStaysCanonicalAcrossRehashes) {
+  // A tiny initial table makes the unique table rehash many times,
+  // both while fresh slots are appended and, after the collection,
+  // while freed slots are reused. Every intermediate result is kept,
+  // so every node the churn creates is checked.
+  std::size_t missing = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    BddConfig cfg;
+    cfg.initial_capacity = 16;
+    BddManager mgr(cfg);
+    Rng rng(seed);
+    auto v = [&] { return mgr.var(static_cast<unsigned>(rng.below(14))); };
+    std::vector<Bdd> keep{v()};
+    auto churn = [&](int ops) {
+      for (int i = 0; i < ops; ++i) {
+        const Bdd a = keep[rng.below(keep.size())];
+        switch (rng.below(3)) {
+          case 0: keep.push_back(a & v()); break;
+          case 1: keep.push_back(a | !v()); break;
+          default: keep.push_back(a ^ v()); break;
+        }
+      }
+    };
+    churn(400);
+    missing += unfindable_nodes(mgr, keep);
+    keep.resize(keep.size() / 4);
+    mgr.gc();
+    churn(400);
+    missing += unfindable_nodes(mgr, keep);
+  }
+  EXPECT_EQ(missing, 0u);
 }
 
 TEST(BddGc, PeakLiveNodesIsMonotone) {
