@@ -190,9 +190,11 @@ int main() {
                 lookups > 0 ? 100.0 * hits / lookups : 0.0, hits, lookups);
     std::printf("  peak live OBDD nodes   %6.0f   (space limit %zu)\n",
                 gauge_of(s, "bdd.peak_live_nodes"), opts.node_limit);
-    std::printf("  gc runs                %6.0f   (%.0f nodes reclaimed)\n",
+    std::printf("  gc runs                %6.0f   (%.0f nodes reclaimed, "
+                "%.3f s)\n",
                 counter_of(s, "bdd.gc_runs"),
-                counter_of(s, "bdd.gc_reclaimed_nodes"));
+                counter_of(s, "bdd.gc_reclaimed_nodes"),
+                gauge_of(s, "bdd.gc_seconds"));
     std::printf("\nper-phase seconds (all reps):\n%s\n",
                 telemetry.tracer.phase_summary().c_str());
   }

@@ -158,6 +158,36 @@ void BM_BddGc(benchmark::State& state) {
 }
 BENCHMARK(BM_BddGc);
 
+/// The hybrid simulator's pattern: one early transient peak, then a
+/// collection per frame over a small live set. The peak leaves a large
+/// node table and unique table behind, so this measures whether a
+/// collection costs the frame's work or the table's high-water mark.
+void BM_BddGcAfterPeak(benchmark::State& state) {
+  BddManager mgr;
+  const auto keep = random_functions(mgr, 24, 32, 11);
+  {
+    // sum_i x_i x_{i+15} under the interleaving-hostile order: ~100 K
+    // nodes counting the intermediate sums.
+    Bdd peak = mgr.zero();
+    for (unsigned i = 0; i < 15; ++i) peak |= mgr.var(i) & mgr.var(i + 15);
+    benchmark::DoNotOptimize(peak.id());
+  }
+  state.counters["peak_nodes"] =
+      static_cast<double>(mgr.stats().peak_live_nodes);
+  mgr.gc();
+  Rng rng(12);
+  auto v = [&] { return mgr.var(static_cast<VarIndex>(rng.below(24))); };
+  for (auto _ : state) {
+    // A few hundred garbage nodes per "frame", then the collection.
+    for (int i = 0; i < 100; ++i) {
+      const Bdd t = (v() & v()) ^ (v() | v());
+      benchmark::DoNotOptimize(t.id());
+    }
+    mgr.gc();
+  }
+}
+BENCHMARK(BM_BddGcAfterPeak);
+
 void BM_BddAndExists(benchmark::State& state) {
   BddManager mgr;
   const auto fs = random_functions(mgr, 24, 64, 10);

@@ -72,6 +72,9 @@ struct BddStats {
   std::uint64_t gc_runs = 0;
   /// Nodes freed across all gc() sweeps.
   std::uint64_t gc_reclaimed_nodes = 0;
+  /// Wall seconds spent inside gc(), including the collections that
+  /// reorder_sift / set_variable_order run.
+  double gc_seconds = 0;
   std::size_t peak_live_nodes = 0;
   /// Wall seconds spent inside reorder_sift / set_variable_order.
   double reorder_seconds = 0;
@@ -81,7 +84,8 @@ struct BddStats {
 ///
 /// A Bdd registers itself with its manager; garbage collection keeps
 /// every node reachable from a registered handle. Handles are cheap to
-/// copy/move (a pointer pair plus two list links). The manager must
+/// copy/move (a pointer pair plus two list links); assignment between
+/// handles of one manager changes only the node id. The manager must
 /// outlive all of its handles.
 ///
 /// Boolean structure is exposed through operators:
@@ -331,6 +335,14 @@ class BddManager {
   /// Mark-and-sweep collection from all registered handles. Safe to
   /// call at any quiescent point (never called implicitly during an
   /// operation's recursion).
+  ///
+  /// The cost tracks the work since the previous collection, not the
+  /// node table's high-water mark: marking visits only nodes reachable
+  /// from handles, the sweep visits only the previous collection's
+  /// survivors plus the slots allocated since (dead ones are unlinked
+  /// from their bucket chains; the unique table is never rebuilt), and
+  /// the computed cache is invalidated by bumping a generation number
+  /// rather than by rewriting its entries.
   void gc();
 
   /// Sets/clears the hard node cap (see BddConfig::hard_node_limit).
@@ -371,8 +383,7 @@ class BddManager {
   };
 
   enum class Op : std::uint8_t {
-    Invalid = 0,
-    Not,
+    Not = 1,
     And,
     Or,
     Xor,
@@ -385,10 +396,14 @@ class BddManager {
     Forall,
   };
 
+  /// One computed-cache entry. `tag` packs the cache generation
+  /// (upper 24 bits) with the Op (low byte); gc() bumps the generation,
+  /// which invalidates every entry at once. Tag 0 is never valid.
   struct CacheEntry {
     NodeId f = 0, g = 0, h = 0, result = 0;
-    Op op = Op::Invalid;
+    std::uint32_t tag = 0;
   };
+  static_assert(sizeof(CacheEntry) == 20, "generation tag grew the cache");
 
   /// Level of a node's root variable; terminals sink below everything.
   [[nodiscard]] VarIndex level_of(NodeId n) const {
@@ -400,6 +415,7 @@ class BddManager {
   NodeId make_node(VarIndex var, NodeId lo, NodeId hi);
   NodeId allocate_slot(VarIndex var, NodeId lo, NodeId hi);
   void rehash(std::size_t new_bucket_count);
+  void unlink_from_bucket(NodeId id);
   [[nodiscard]] std::size_t bucket_of(VarIndex var, NodeId lo,
                                       NodeId hi) const noexcept;
 
@@ -429,11 +445,15 @@ class BddManager {
   void unregister_handle(Bdd* h) noexcept;
 
   void maybe_auto_gc();
-  void mark_reachable(NodeId n, std::vector<std::uint8_t>& mark) const;
+
+  /// Fresh value for the epoch stamps below; stamps left by earlier
+  /// passes never equal it.
+  std::uint32_t next_epoch();
+  /// Fills support_vars_ with the support of `root`, unsorted.
+  void collect_support(NodeId root);
 
   // Node storage.
   std::vector<Node> nodes_;
-  std::vector<std::uint8_t> used_;  ///< slot-occupancy bitmap
   std::vector<NodeId> buckets_;     ///< unique table (power-of-two size)
   NodeId free_head_ = 0;            ///< head of free-slot list (0 = none)
   std::size_t live_count_ = 0;
@@ -441,9 +461,26 @@ class BddManager {
   std::vector<VarIndex> var2level_;
   std::vector<VarIndex> level2var_;
 
+  // Collection bookkeeping: every used slot is in exactly one of
+  // survivors_ (live after the last gc) and fresh_ (allocated since).
+  std::vector<NodeId> survivors_;
+  std::vector<NodeId> fresh_;
+  /// gc's next survivor list; swap_adjacent_levels' slot snapshot.
+  std::vector<NodeId> slot_buf_;
+  std::vector<NodeId> stack_;  ///< persistent DFS stack
+
+  // Epoch-stamped scratch arrays of gc, support and rename: an entry
+  // is meaningful only while it equals the pass's epoch.
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> stamp_;      ///< per node slot
+  std::vector<std::uint32_t> var_stamp_;  ///< per variable
+  std::vector<NodeId> memo_;              ///< rename result per node slot
+  std::vector<VarIndex> support_vars_;
+
   // Computed cache.
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
+  std::uint32_t cache_generation_ = 1;
 
   // Handle registry.
   Bdd* handles_head_ = nullptr;

@@ -23,23 +23,33 @@ bool Bdd::eval(const std::vector<bool>& assignment) const {
   return n == kTrueId;
 }
 
+void BddManager::collect_support(NodeId root) {
+  support_vars_.clear();
+  const std::uint32_t seen = next_epoch();
+  if (root <= kTrueId) return;
+  stamp_[root] = seen;
+  stack_.push_back(root);
+  while (!stack_.empty()) {
+    const Node& node = nodes_[stack_.back()];
+    stack_.pop_back();
+    if (var_stamp_[node.var] != seen) {
+      var_stamp_[node.var] = seen;
+      support_vars_.push_back(node.var);
+    }
+    for (const NodeId child : {node.lo, node.hi}) {
+      if (child > kTrueId && stamp_[child] != seen) {
+        stamp_[child] = seen;
+        stack_.push_back(child);
+      }
+    }
+  }
+}
+
 std::vector<VarIndex> BddManager::support(const Bdd& f) {
   assert(f.manager() == this);
-  std::unordered_set<NodeId> seen;
-  std::vector<std::uint8_t> in_support(num_vars_, 0);
-  std::vector<NodeId> stack{f.id()};
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (n <= kTrueId || !seen.insert(n).second) continue;
-    in_support[nodes_[n].var] = 1;
-    stack.push_back(nodes_[n].lo);
-    stack.push_back(nodes_[n].hi);
-  }
-  std::vector<VarIndex> out;
-  for (VarIndex v = 0; v < num_vars_; ++v) {
-    if (in_support[v]) out.push_back(v);
-  }
+  collect_support(f.id());
+  std::vector<VarIndex> out = support_vars_;
+  std::sort(out.begin(), out.end());
   return out;
 }
 

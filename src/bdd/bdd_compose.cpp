@@ -65,38 +65,35 @@ Bdd BddManager::rename(const Bdd& f, const std::vector<VarIndex>& mapping) {
   // Verify order preservation (by LEVEL, which equals the variable
   // index until someone reorders) on the support of f; the rebuild
   // below is only sound for monotone maps.
-  {
-    std::vector<VarIndex> sup = support(f);
-    std::sort(sup.begin(), sup.end(), [&](VarIndex a, VarIndex b) {
-      return var2level_[a] < var2level_[b];
-    });
-    VarIndex max_new = 0;
-    for (VarIndex v : sup) {
-      const VarIndex m = mapped(v);
-      if (m >= num_vars_) ensure_vars(m + 1);
-      max_new = std::max(max_new, m);
+  collect_support(f.id());
+  std::sort(support_vars_.begin(), support_vars_.end(),
+            [&](VarIndex a, VarIndex b) {
+              return var2level_[a] < var2level_[b];
+            });
+  for (const VarIndex v : support_vars_) ensure_vars(mapped(v) + 1);
+  for (std::size_t i = 1; i < support_vars_.size(); ++i) {
+    if (var2level_[mapped(support_vars_[i - 1])] >=
+        var2level_[mapped(support_vars_[i])]) {
+      throw std::invalid_argument(
+          "BddManager::rename: mapping is not order-preserving on the "
+          "support of f");
     }
-    for (std::size_t i = 1; i < sup.size(); ++i) {
-      if (var2level_[mapped(sup[i - 1])] >= var2level_[mapped(sup[i])]) {
-        throw std::invalid_argument(
-            "BddManager::rename: mapping is not order-preserving on the "
-            "support of f");
-      }
-    }
-    (void)max_new;
   }
 
   // Per-call memo: the mapping varies between calls, so the global
-  // computed cache cannot key it.
-  std::unordered_map<NodeId, NodeId> memo;
+  // computed cache cannot key it. memo_[n] is valid while stamp_[n]
+  // holds this call's epoch; nodes made below are never looked up.
+  const std::uint32_t done = next_epoch();
+  if (memo_.size() < stamp_.size()) memo_.resize(stamp_.size());
   auto rec = [&](auto&& self, NodeId n) -> NodeId {
     if (n <= kTrueId) return n;
-    if (auto it = memo.find(n); it != memo.end()) return it->second;
+    if (stamp_[n] == done) return memo_[n];
     const Node node = nodes_[n];
     const NodeId lo = self(self, node.lo);
     const NodeId hi = self(self, node.hi);
     const NodeId result = make_node(mapped(node.var), lo, hi);
-    memo.emplace(n, result);
+    stamp_[n] = done;
+    memo_[n] = result;
     return result;
   };
   return Bdd(this, rec(rec, f.id()));

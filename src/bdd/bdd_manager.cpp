@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "bdd/bdd.h"
+#include "util/stopwatch.h"
 
 namespace motsim::bdd {
 
@@ -19,8 +20,14 @@ Bdd::Bdd(Bdd&& other) noexcept {
   other.detach();
 }
 
+// Assignment between handles of one manager keeps the target's
+// registry link: only the node id changes, so the registry (the GC root
+// set) is touched at most for the moved-from handle.
+
 Bdd& Bdd::operator=(const Bdd& other) noexcept {
-  if (this != &other) {
+  if (mgr_ != nullptr && mgr_ == other.mgr_) {
+    id_ = other.id_;
+  } else if (this != &other) {
     detach();
     attach(other.mgr_, other.id_);
   }
@@ -28,11 +35,14 @@ Bdd& Bdd::operator=(const Bdd& other) noexcept {
 }
 
 Bdd& Bdd::operator=(Bdd&& other) noexcept {
-  if (this != &other) {
+  if (this == &other) return *this;
+  if (mgr_ != nullptr && mgr_ == other.mgr_) {
+    id_ = other.id_;
+  } else {
     detach();
     attach(other.mgr_, other.id_);
-    other.detach();
   }
+  other.detach();
   return *this;
 }
 
@@ -103,6 +113,9 @@ std::size_t round_up_pow2(std::size_t v) {
   return p;
 }
 
+/// Cache generations occupy the upper 24 bits of an entry's tag.
+constexpr std::uint32_t kMaxCacheGeneration = (1u << 24) - 1;
+
 }  // namespace
 
 BddManager::BddManager(const BddConfig& config)
@@ -111,13 +124,10 @@ BddManager::BddManager(const BddConfig& config)
       next_gc_at_(config.auto_gc_floor) {
   const std::size_t cap = std::max<std::size_t>(config.initial_capacity, 16);
   nodes_.reserve(cap);
-  used_.reserve(cap);
 
   // Terminal nodes occupy slots 0 and 1 and are never collected.
   nodes_.push_back(Node{kTerminalVar, kFalseId, kFalseId, 0});
   nodes_.push_back(Node{kTerminalVar, kTrueId, kTrueId, 0});
-  used_.push_back(1);
-  used_.push_back(1);
 
   buckets_.assign(round_up_pow2(cap), kFalseId);
 
@@ -200,9 +210,8 @@ NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
   } else {
     id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(Node{});
-    used_.push_back(0);
   }
-  used_[id] = 1;
+  fresh_.push_back(id);
   ++live_count_;
   ++stats_.nodes_created;
   stats_.peak_live_nodes = std::max(stats_.peak_live_nodes, live_count_);
@@ -215,13 +224,26 @@ NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
 
 void BddManager::rehash(std::size_t new_bucket_count) {
   buckets_.assign(round_up_pow2(new_bucket_count), kFalseId);
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
-    if (!used_[id]) continue;
-    Node& node = nodes_[id];
-    const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
-    node.next = buckets_[bucket];
-    buckets_[bucket] = id;
+  for (const std::vector<NodeId>* slots : {&survivors_, &fresh_}) {
+    for (const NodeId id : *slots) {
+      Node& node = nodes_[id];
+      const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
+      node.next = buckets_[bucket];
+      buckets_[bucket] = id;
+    }
   }
+}
+
+void BddManager::unlink_from_bucket(NodeId id) {
+  const Node& node = nodes_[id];
+  const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
+  NodeId cur = buckets_[bucket];
+  if (cur == id) {
+    buckets_[bucket] = node.next;
+    return;
+  }
+  while (nodes_[cur].next != id) cur = nodes_[cur].next;
+  nodes_[cur].next = node.next;
 }
 
 Bdd BddManager::var(VarIndex index) {
@@ -243,58 +265,70 @@ void BddManager::ensure_vars(VarIndex count) {
   }
 }
 
-void BddManager::mark_reachable(NodeId n,
-                                std::vector<std::uint8_t>& mark) const {
-  // Iterative DFS; BDDs can be deep on wide circuits.
-  if (mark[n]) return;
-  std::vector<NodeId> stack{n};
-  while (!stack.empty()) {
-    const NodeId cur = stack.back();
-    stack.pop_back();
-    if (mark[cur]) continue;
-    mark[cur] = 1;
-    if (cur > kTrueId) {
-      stack.push_back(nodes_[cur].lo);
-      stack.push_back(nodes_[cur].hi);
-    }
+std::uint32_t BddManager::next_epoch() {
+  if (stamp_.size() < nodes_.size()) stamp_.resize(nodes_.size(), 0);
+  if (var_stamp_.size() < num_vars_) var_stamp_.resize(num_vars_, 0);
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    std::fill(var_stamp_.begin(), var_stamp_.end(), 0);
+    epoch_ = 1;
   }
+  return epoch_;
 }
 
 void BddManager::gc() {
+  const Stopwatch gc_timer;
   ++stats_.gc_runs;
   const std::size_t live_before = live_count_;
 
-  std::vector<std::uint8_t> mark(nodes_.size(), 0);
-  mark[kFalseId] = mark[kTrueId] = 1;
+  // Mark: iterative DFS from every handle (BDDs can be deep on wide
+  // circuits); a node is marked when its stamp equals this epoch.
+  const std::uint32_t marked = next_epoch();
   for (const Bdd* h = handles_head_; h != nullptr; h = h->reg_next_) {
-    mark_reachable(h->id_, mark);
+    if (h->id_ <= kTrueId || stamp_[h->id_] == marked) continue;
+    stamp_[h->id_] = marked;
+    stack_.push_back(h->id_);
+    while (!stack_.empty()) {
+      const Node& node = nodes_[stack_.back()];
+      stack_.pop_back();
+      for (const NodeId child : {node.lo, node.hi}) {
+        if (child > kTrueId && stamp_[child] != marked) {
+          stamp_[child] = marked;
+          stack_.push_back(child);
+        }
+      }
+    }
   }
 
-  // Sweep: rebuild the unique table from marked nodes only; unmarked
-  // slots go to the free list.
-  free_head_ = kFalseId;
-  live_count_ = 0;
-  std::fill(buckets_.begin(), buckets_.end(), kFalseId);
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
-    if (!used_[id]) continue;
-    if (mark[id]) {
-      Node& node = nodes_[id];
-      const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
-      node.next = buckets_[bucket];
-      buckets_[bucket] = id;
-      ++live_count_;
-    } else {
-      used_[id] = 0;
+  // Sweep: only the last survivors and the slots allocated since can
+  // hold nodes. Dead ones leave their bucket chain for the free list.
+  slot_buf_.clear();
+  for (const std::vector<NodeId>* slots : {&survivors_, &fresh_}) {
+    for (const NodeId id : *slots) {
+      if (stamp_[id] == marked) {
+        slot_buf_.push_back(id);
+        continue;
+      }
+      unlink_from_bucket(id);
       nodes_[id].next = free_head_;
       free_head_ = id;
     }
   }
+  survivors_.swap(slot_buf_);
+  fresh_.clear();
+  live_count_ = survivors_.size();
 
-  // Cached results may reference collected nodes; invalidate wholesale.
-  for (auto& e : cache_) e.op = Op::Invalid;
+  // Cached results may reference collected nodes; a new generation
+  // invalidates them all. Only a wrap of the generation counter has to
+  // touch the entries.
+  if (++cache_generation_ > kMaxCacheGeneration) {
+    for (CacheEntry& e : cache_) e.tag = 0;
+    cache_generation_ = 1;
+  }
 
   stats_.gc_reclaimed_nodes += live_before - live_count_;
   next_gc_at_ = std::max(auto_gc_floor_, live_count_ * 2);
+  stats_.gc_seconds += gc_timer.elapsed_seconds();
 }
 
 void BddManager::maybe_auto_gc() {
@@ -313,7 +347,9 @@ bool BddManager::cache_lookup(Op op, NodeId f, NodeId g, NodeId h,
             (static_cast<std::uint64_t>(f) << 34) ^
             (static_cast<std::uint64_t>(g) << 12) ^ h);
   const CacheEntry& e = cache_[key & cache_mask_];
-  if (e.op == op && e.f == f && e.g == g && e.h == h) {
+  const std::uint32_t tag =
+      (cache_generation_ << 8) | static_cast<std::uint32_t>(op);
+  if (e.tag == tag && e.f == f && e.g == g && e.h == h) {
     ++stats_.cache_hits;
     out = e.result;
     return true;
@@ -327,7 +363,9 @@ void BddManager::cache_insert(Op op, NodeId f, NodeId g, NodeId h,
       mix64((static_cast<std::uint64_t>(op) << 56) ^
             (static_cast<std::uint64_t>(f) << 34) ^
             (static_cast<std::uint64_t>(g) << 12) ^ h);
-  cache_[key & cache_mask_] = CacheEntry{f, g, h, result, op};
+  cache_[key & cache_mask_] = CacheEntry{
+      f, g, h, result,
+      (cache_generation_ << 8) | static_cast<std::uint32_t>(op)};
 }
 
 }  // namespace motsim::bdd

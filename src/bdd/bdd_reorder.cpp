@@ -50,25 +50,14 @@ void BddManager::swap_adjacent_levels(VarIndex level) {
   const std::size_t saved_limit = hard_node_limit_;
   hard_node_limit_ = static_cast<std::size_t>(-1);
 
-  // Only u-nodes with a v-child change shape. Snapshot the node-table
-  // size: nodes created by make_node below never need rewriting (their
+  // Only u-nodes with a v-child change shape. Snapshot the used slots:
+  // nodes created by make_node below never need rewriting (their
   // children are strictly below the v level).
-  const NodeId snapshot = static_cast<NodeId>(nodes_.size());
+  slot_buf_.assign(survivors_.begin(), survivors_.end());
+  slot_buf_.insert(slot_buf_.end(), fresh_.begin(), fresh_.end());
 
-  auto unlink_from_bucket = [&](NodeId id) {
-    const Node& node = nodes_[id];
-    const std::size_t bucket = bucket_of(node.var, node.lo, node.hi);
-    NodeId cur = buckets_[bucket];
-    if (cur == id) {
-      buckets_[bucket] = node.next;
-      return;
-    }
-    while (nodes_[cur].next != id) cur = nodes_[cur].next;
-    nodes_[cur].next = node.next;
-  };
-
-  for (NodeId id = 2; id < snapshot; ++id) {
-    if (!used_[id] || nodes_[id].var != u) continue;
+  for (const NodeId id : slot_buf_) {
+    if (nodes_[id].var != u) continue;
     const NodeId f0 = nodes_[id].lo;
     const NodeId f1 = nodes_[id].hi;
     const bool lo_branches = nodes_[f0].var == v;
@@ -128,11 +117,10 @@ std::size_t BddManager::reorder_sift(double max_growth) {
   const std::size_t ceiling = static_cast<std::size_t>(
       static_cast<double>(live_count_) * max_growth) + 16;
 
-  // Most populous variables first (they have the most leverage).
+  // Most populous variables first (they have the most leverage). Right
+  // after gc() the survivor list is exactly the live set.
   std::vector<std::size_t> population(num_vars_, 0);
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
-    if (used_[id]) ++population[nodes_[id].var];
-  }
+  for (const NodeId id : survivors_) ++population[nodes_[id].var];
   std::vector<VarIndex> order_of_attack(num_vars_);
   for (VarIndex i = 0; i < num_vars_; ++i) order_of_attack[i] = i;
   std::sort(order_of_attack.begin(), order_of_attack.end(),

@@ -566,6 +566,7 @@ HybridResult HybridFaultSim::run(
     m.counter("bdd.nodes_created").add(bs.nodes_created);
     m.counter("bdd.gc_runs").add(bs.gc_runs);
     m.counter("bdd.gc_reclaimed_nodes").add(bs.gc_reclaimed_nodes);
+    m.gauge("bdd.gc_seconds").add(bs.gc_seconds);
     m.gauge("bdd.reorder_seconds").add(bs.reorder_seconds);
     m.gauge("bdd.peak_live_nodes")
         .update_max(static_cast<double>(bs.peak_live_nodes));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -123,7 +126,8 @@ TEST(BddGc, AutoGcTriggersUnderChurn) {
 }
 
 TEST(BddGc, CacheSurvivesLogicallyAfterInvalidation) {
-  // The computed cache is wiped on GC; results must still be correct
+  // GC invalidates the whole computed cache by starting a new cache
+  // generation (no entry is rewritten); results must still be correct
   // (recomputed) afterwards.
   BddManager mgr;
   const Bdd a = mgr.var(0), b = mgr.var(1);
@@ -131,6 +135,119 @@ TEST(BddGc, CacheSurvivesLogicallyAfterInvalidation) {
   mgr.gc();
   const Bdd f2 = a ^ b;
   EXPECT_EQ(f1, f2);
+}
+
+TEST(BddGc, StaleCachedResultIsNeverReturnedAfterSlotReuse) {
+  BddManager mgr;
+  NodeId f_id = 0, g_id = 0;
+  {
+    const Bdd f = mgr.var(0) ^ mgr.var(1);
+    const Bdd g = mgr.var(2) | mgr.var(3);
+    const Bdd fg = f & g;  // cached under the slots of f and g
+    f_id = f.id();
+    g_id = g.id();
+  }
+  mgr.gc();  // frees every node above, projections included
+  ASSERT_EQ(mgr.live_node_count(), 0u);
+
+  // Refill the freed slots with nodes over disjoint variables. Every
+  // intermediate result is kept, so every new node stays reachable.
+  Rng rng(3);
+  std::vector<Bdd> keep;
+  for (int i = 0; i < 64; ++i) {
+    Bdd f = mgr.var(4 + static_cast<unsigned>(rng.below(6)));
+    for (int j = 0; j < 4; ++j) {
+      const Bdd v = mgr.var(4 + static_cast<unsigned>(rng.below(6)));
+      f = rng.flip() ? (f & !v) : (f ^ v);
+      keep.push_back(f);
+    }
+  }
+  std::unordered_map<NodeId, Bdd> at;
+  std::vector<Bdd> stack = keep;
+  while (!stack.empty()) {
+    const Bdd f = stack.back();
+    stack.pop_back();
+    if (f.is_const() || !at.emplace(f.id(), f).second) continue;
+    stack.push_back(f.high());
+    stack.push_back(f.low());
+  }
+  ASSERT_TRUE(at.count(f_id) != 0 && at.count(g_id) != 0)
+      << "the old operand slots were not reused";
+
+  // Same slot pair as the cached AND, different functions.
+  const Bdd p = at.at(f_id), q = at.at(g_id);
+  const Bdd pq = p & q;
+  for (unsigned a = 0; a < 1024; ++a) {
+    std::vector<bool> asg(10);
+    for (unsigned v = 0; v < 10; ++v) asg[v] = ((a >> v) & 1) != 0;
+    ASSERT_EQ(pq.eval(asg), p.eval(asg) && q.eval(asg));
+  }
+}
+
+TEST(BddGc, SweepAfterTransientPeakLeavesExactlyTheLiveSet) {
+  BddManager mgr;
+  std::vector<Bdd> keep;
+  for (unsigned v = 0; v < 4; ++v) keep.push_back(mgr.var(v) ^ mgr.var(v + 1));
+  for (int round = 0; round < 3; ++round) {
+    {
+      // sum_i x_i x_{i+12} under the interleaving-hostile order: a
+      // transient peak of thousands of nodes over a live set of a few.
+      Bdd peak = mgr.zero();
+      for (unsigned i = 0; i < 12; ++i) {
+        peak |= mgr.var(i) & mgr.var(i + 12);
+      }
+      // One small survivor per round, built from nodes of the peak.
+      const unsigned r = static_cast<unsigned>(round);
+      keep.push_back(peak & mgr.var(r) & mgr.var(r + 12) & mgr.var(r + 1));
+      ASSERT_GT(mgr.live_node_count(), 4000u);
+    }
+    mgr.gc();
+    EXPECT_EQ(mgr.live_node_count(),
+              mgr.node_count(std::span<const Bdd>(keep)));
+    const std::uint64_t reclaimed = mgr.stats().gc_reclaimed_nodes;
+    const std::size_t live = mgr.live_node_count();
+    mgr.gc();
+    EXPECT_EQ(mgr.stats().gc_reclaimed_nodes, reclaimed);
+    EXPECT_EQ(mgr.live_node_count(), live);
+    keep.pop_back();  // next round's peak reuses this one's slots too
+  }
+  EXPECT_GT(mgr.stats().gc_seconds, 0.0);
+}
+
+TEST(BddGc, AssignedHandlesStayRoots) {
+  // Assignment between handles of one manager only changes the node id;
+  // assignment into a null or foreign handle registers it with the
+  // source's manager. Either way the target is a root for the next GC.
+  BddManager mgr, other;
+  const Bdd a = mgr.var(0), b = mgr.var(1), c = mgr.var(2);
+  Bdd by_copy = a & b, by_move = a | b;
+  Bdd foreign_copy = other.var(0), foreign_move = other.var(1), from_null;
+  {
+    const Bdd x = (a ^ b) & c;
+    Bdd not_x = !x, x_or_a = x | a;
+    by_copy = x;
+    by_move = std::move(not_x);
+    foreign_copy = x;
+    foreign_move = std::move(x_or_a);
+    from_null = x ^ a;
+    EXPECT_TRUE(not_x.is_null());
+    EXPECT_TRUE(x_or_a.is_null());
+  }
+  EXPECT_EQ(mgr.handle_count(), 8u);
+  EXPECT_EQ(other.handle_count(), 0u);
+  mgr.gc();
+  const Bdd all[] = {a, b, c, by_copy, by_move, foreign_copy, foreign_move,
+                     from_null};
+  EXPECT_EQ(mgr.live_node_count(), mgr.node_count(std::span<const Bdd>(all)));
+  for (unsigned m = 0; m < 8; ++m) {
+    const std::vector<bool> asg{(m & 1) != 0, (m & 2) != 0, (m & 4) != 0};
+    const bool x = (asg[0] != asg[1]) && asg[2];
+    EXPECT_EQ(by_copy.eval(asg), x);
+    EXPECT_EQ(by_move.eval(asg), !x);
+    EXPECT_EQ(foreign_copy.eval(asg), x);
+    EXPECT_EQ(foreign_move.eval(asg), x || asg[0]);
+    EXPECT_EQ(from_null.eval(asg), x != asg[0]);
+  }
 }
 
 TEST(BddGc, ManagerOutlivesDetachedHandles) {

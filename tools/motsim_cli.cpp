@@ -53,6 +53,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -423,7 +424,14 @@ Netlist load_circuit(const std::string& name) {
                  name.c_str());
     std::exit(1);
   }
-  return parse_bench(file, name);
+  // A malformed netlist (combinational cycle, undefined or duplicate
+  // signal) is an input error, not a crash.
+  try {
+    return parse_bench(file, name);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 int write_report_json(const Options& o, const Netlist& nl,

@@ -36,6 +36,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -163,7 +164,14 @@ Netlist load_circuit(const std::string& name) {
                  name.c_str());
     std::exit(2);
   }
-  return parse_bench(file, name);
+  // A malformed netlist (combinational cycle, undefined or duplicate
+  // signal) is an input error, not a crash.
+  try {
+    return parse_bench(file, name);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 /// Appends the static X-redundancy verdict as two circuit-level notes
