@@ -91,6 +91,17 @@ double histogram_quantile(const std::vector<double>& bounds,
   return lower + (upper - lower) * std::min(1.0, std::max(0.0, fraction));
 }
 
+double exact_quantile(std::vector<double> values, double q) {
+  if (values.empty() || std::isnan(q)) return 0.0;
+  q = std::min(1.0, std::max(0.0, q));
+  // 1-based nearest rank ceil(q * n), at least 1.
+  const auto n = static_cast<double>(values.size());
+  const auto rank = static_cast<std::size_t>(std::max(1.0, std::ceil(q * n)));
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];

@@ -125,6 +125,14 @@ class Histogram {
                                         const std::vector<std::uint64_t>& buckets,
                                         double q);
 
+/// Exact q-quantile (0 <= q <= 1) of raw observations by the
+/// nearest-rank rule: the smallest observation with at least q * n
+/// observations at or below it. Unlike histogram_quantile() it never
+/// interpolates, so it is always an observed value and never above
+/// the maximum. An empty sample and a NaN q report 0; q is clamped
+/// into [0, 1].
+[[nodiscard]] double exact_quantile(std::vector<double> values, double q);
+
 /// One histogram in a snapshot, with cumulative Prometheus-style
 /// bucket counts resolved to plain numbers.
 struct HistogramSnapshot {

@@ -38,7 +38,7 @@ enum class Sim3Backend : std::uint8_t {
 [[nodiscard]] std::optional<Sim3Backend> parse_sim3_backend(
     std::string_view token);
 
-/// Process-wide default backend: Sim3Backend::Event unless the
+/// Process-wide default backend: Sim3Backend::BitPar unless the
 /// environment variable MOTSIM_SIM3_BACKEND holds a valid backend
 /// token (the CI matrix uses this to run the whole test suite under
 /// both engines). Read once and cached.

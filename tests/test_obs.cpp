@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -732,6 +733,38 @@ TEST(CampaignTelemetry, EventsHaveTimestampsEvenWithoutTelemetry) {
   for (const std::string& line : read_lines(tmp.path + "/events.jsonl")) {
     EXPECT_NE(line.find("\"t\":"), std::string::npos) << line;
   }
+}
+
+// ---------------------------------------------------------------------------
+// exact_quantile: motsim_load's latency percentiles
+// ---------------------------------------------------------------------------
+
+TEST(ExactQuantile, MatchesSortedReferenceAndNeverExceedsMax) {
+  Rng rng(7);
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 114u, 1000u}) {
+    std::vector<double> values(n);
+    for (double& v : values) v = rng.uniform() * rng.uniform() * 0.1;
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      // Reference: the first sorted value with at least q * n values at
+      // or below it.
+      std::size_t i = 0;
+      while (static_cast<double>(i + 1) < q * static_cast<double>(n)) ++i;
+      const double got = obs::exact_quantile(values, q);
+      EXPECT_EQ(got, sorted[i]) << "n=" << n << " q=" << q;
+      EXPECT_LE(got, sorted.back()) << "n=" << n << " q=" << q;
+    }
+  }
+}
+
+TEST(ExactQuantile, DegenerateInputsAreDefined) {
+  EXPECT_EQ(obs::exact_quantile({}, 0.5), 0.0);
+  EXPECT_EQ(obs::exact_quantile({1.0, 2.0},
+                                std::numeric_limits<double>::quiet_NaN()),
+            0.0);
+  EXPECT_EQ(obs::exact_quantile({3.0, 1.0, 2.0}, -1.0), 1.0);
+  EXPECT_EQ(obs::exact_quantile({3.0, 1.0, 2.0}, 5.0), 3.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -946,18 +946,36 @@ TEST_F(LiveServerTest, DumpStateRequestReturnsMetricsAndRecorderWindow) {
   OwnedFd client = connect_client();
   (void)call(client.get(), Request{PingRequest{1}});
 
-  const Response resp = call(client.get(), Request{DumpStateRequest{42}});
-  ASSERT_TRUE(std::holds_alternative<DumpStateResponse>(resp));
-  const auto& dump = std::get<DumpStateResponse>(resp);
+  // The recorder (always on, no logger attached) retains the access log
+  // of the earlier PING. Its worker writes that record just after the
+  // PONG frame, so another worker can serve a dump first: poll briefly.
+  const auto has_ping_record = [](const std::string& jsonl) {
+    std::istringstream in(jsonl);
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"event\":\"serve.request\"") != std::string::npos &&
+          line.find("\"PING\"") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  DumpStateResponse dump;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  do {
+    const Response resp = call(client.get(), Request{DumpStateRequest{42}});
+    ASSERT_TRUE(std::holds_alternative<DumpStateResponse>(resp));
+    dump = std::get<DumpStateResponse>(resp);
+    if (has_ping_record(dump.recorder_jsonl)) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < deadline);
   EXPECT_EQ(dump.id, 42u);
   EXPECT_FALSE(dump.trace.empty());
   ASSERT_FALSE(dump.metrics_json.empty());
   EXPECT_EQ(dump.metrics_json.front(), '{');
   EXPECT_NE(dump.metrics_json.find("serve.requests.ping"),
             std::string::npos);
-  // The recorder (always on, no logger attached) retained the access
-  // log of the earlier PING.
-  EXPECT_NE(dump.recorder_jsonl.find("serve.request"), std::string::npos);
+  EXPECT_TRUE(has_ping_record(dump.recorder_jsonl)) << dump.recorder_jsonl;
 }
 
 TEST_F(LiveServerTest, DebugStateEndpointServesNdjson) {

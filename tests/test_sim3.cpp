@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "bench_data/s27.h"
+#include "bench_data/synth_gen.h"
 #include "faults/collapse.h"
 #include "reference.h"
 #include "sim3/bitpar_sim3.h"
@@ -98,6 +101,155 @@ TEST_P(Sim3Refinement, XStateAbstractsEveryConcreteRun) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Sim3Refinement,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// ---------------------------------------------------------------------------
+// GoodSim3 against an uncompiled reference
+// ---------------------------------------------------------------------------
+
+/// Reference fault-free machine: eval_gate3 over Netlist::gate()
+/// fanins in topological order, independent of LevelizedCircuit and
+/// of the AND-form lookup table GoodSim3 evaluates with.
+class ReferenceSim3 {
+ public:
+  explicit ReferenceSim3(const Netlist& nl)
+      : nl_(nl),
+        values_(nl.node_count(), Val3::X),
+        state_(nl.dff_count(), Val3::X) {}
+
+  void step(const std::vector<Val3>& inputs) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      values_[nl_.inputs()[i]] = inputs[i];
+    }
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      values_[nl_.dffs()[i]] = state_[i];
+    }
+    for (const NodeIndex n : nl_.topo_order()) {
+      const Gate& g = nl_.gate(n);
+      if (g.type == GateType::Input || g.type == GateType::Dff) continue;
+      values_[n] = eval_gate3(g.type, g.fanins.size(), [&](std::size_t i) {
+        return values_[g.fanins[i]];
+      });
+    }
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      state_[i] = values_[nl_.gate(nl_.dffs()[i]).fanins[0]];
+    }
+  }
+
+  [[nodiscard]] const std::vector<Val3>& values() const { return values_; }
+  [[nodiscard]] const std::vector<Val3>& state() const { return state_; }
+
+ private:
+  const Netlist& nl_;
+  std::vector<Val3> values_;
+  std::vector<Val3> state_;
+};
+
+Val3 random_val3(Rng& rng) { return static_cast<Val3>(rng.below(3)); }
+
+/// Steps GoodSim3 and the reference side by side from the all-X state
+/// and compares every node value, the outputs and the next state.
+void expect_matches_reference(const Netlist& nl, const TestSequence& seq) {
+  GoodSim3 sim(nl);
+  ReferenceSim3 ref(nl);
+  for (std::size_t t = 0; t < seq.size(); ++t) {
+    const std::vector<Val3> outs = sim.step(seq[t]);
+    ref.step(seq[t]);
+    for (NodeIndex n = 0; n < nl.node_count(); ++n) {
+      ASSERT_EQ(sim.values()[n], ref.values()[n])
+          << nl.name() << " frame " << t << " node " << nl.gate(n).name;
+    }
+    for (std::size_t o = 0; o < outs.size(); ++o) {
+      ASSERT_EQ(outs[o], ref.values()[nl.outputs()[o]])
+          << nl.name() << " frame " << t << " output " << o;
+    }
+    ASSERT_EQ(sim.state(), ref.state()) << nl.name() << " frame " << t;
+  }
+}
+
+class GoodSim3Reference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GoodSim3Reference, EveryStyleMatchesFrameByFrame) {
+  for (int style = 0; style <= static_cast<int>(CircuitStyle::AcyclicPipeline);
+       ++style) {
+    SynthSpec spec;
+    spec.style = static_cast<CircuitStyle>(style);
+    spec.name = std::string("ref_") + to_cstring(spec.style);
+    spec.inputs = 3 + GetParam() % 4;
+    spec.outputs = 1 + GetParam() % 3;
+    spec.dffs = 3 + GetParam() % 5;
+    spec.target_gates = 40 + 30 * (GetParam() % 4);
+    spec.seed = GetParam() * 0x9E3779B9ull + static_cast<std::uint64_t>(style);
+    const Netlist nl = generate_circuit(spec);
+
+    // Binary vectors (the state may still be X for a while), then
+    // vectors with X inputs.
+    Rng rng(GetParam() * 31 + static_cast<std::uint64_t>(style));
+    TestSequence seq = random_sequence(nl, 24, rng);
+    for (int t = 0; t < 24; ++t) {
+      std::vector<Val3> v(nl.input_count());
+      for (Val3& x : v) x = random_val3(rng);
+      seq.push_back(std::move(v));
+    }
+    expect_matches_reference(nl, seq);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GoodSim3Reference,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(GoodSim3, EveryGateShapeMatchesReferenceOnAllOperands) {
+  // Every gate type at every compiled shape: repeated-fanin AND-family
+  // gates (in1 == in0, the one-input form), BUF/NOT, two-input gates
+  // of all types, three- and four-input gates, and gates over
+  // constants. Flip-flop q latches input d, so q is a fourth operand
+  // that starts at X.
+  Netlist nl("shapes");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex c = nl.add_input("c");
+  const NodeIndex d = nl.add_input("d");
+  const NodeIndex q = nl.add_dff(d, "q");
+  const NodeIndex zero = nl.add_gate(GateType::Const0, {}, "zero");
+  const NodeIndex one = nl.add_gate(GateType::Const1, {}, "one");
+  const GateType kTypes[] = {GateType::And, GateType::Nand, GateType::Or,
+                             GateType::Nor, GateType::Xor,  GateType::Xnor};
+  std::vector<NodeIndex> gates;
+  int id = 0;
+  const auto add = [&](GateType type, std::vector<NodeIndex> fanins) {
+    gates.push_back(
+        nl.add_gate(type, std::move(fanins), "g" + std::to_string(id++)));
+  };
+  add(GateType::Buf, {a});
+  add(GateType::Not, {q});
+  add(GateType::Buf, {one});
+  add(GateType::Not, {zero});
+  for (const GateType t : kTypes) {
+    add(t, {a, a});
+    add(t, {q, q});
+    add(t, {a, b});
+    add(t, {b, q});
+    add(t, {a, one});
+    add(t, {zero, c});
+    add(t, {a, b, c});
+    add(t, {c, q, a, b});
+  }
+  for (const NodeIndex g : gates) nl.mark_output(g);
+  nl.mark_output(zero);
+  nl.mark_output(one);
+  nl.finalize();
+
+  // All 27 values of (a, b, c) with q at X (the initial state), then
+  // at 0, then at 1: frame t sees q = d(t - 1) = code (t / 27 + 2) % 3.
+  TestSequence seq;
+  for (int t = 0; t < 81; ++t) {
+    const int code = t % 27;
+    seq.push_back({static_cast<Val3>(code % 3),
+                   static_cast<Val3>((code / 3) % 3),
+                   static_cast<Val3>(code / 9),
+                   static_cast<Val3>(((t + 1) / 27 + 2) % 3)});
+  }
+  expect_matches_reference(nl, seq);
+}
 
 // ---------------------------------------------------------------------------
 // FaultSim3: directed cases

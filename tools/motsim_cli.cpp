@@ -23,8 +23,7 @@
 //                    symbolic stage (bit-identical; perf knob only)
 //   --no-xred        skip the ID_X-red stage
 //   --no-symbolic    three-valued only (pure X01)
-//   --sim3-backend B three-valued backend: event | bitpar
-//   --parallel       alias for --sim3-backend bitpar (legacy)
+//   --sim3-backend B three-valued backend: event | bitpar (default bitpar)
 //   --deterministic  compacted sequence instead of random vectors
 //   --sync           also run the synchronizing-sequence analysis
 //   --show-undetected  list the faults left undetected
@@ -145,10 +144,10 @@ struct Options {
                "                     results; see docs/ANALYSIS.md)\n"
                "  --no-xred          skip ID_X-red\n"
                "  --no-symbolic      pure three-valued run\n"
-               "  --sim3-backend B   three-valued backend: event (serial\n"
-               "                     reference) or bitpar (64 faults/word);\n"
-               "                     identical results (see docs/SIM3.md)\n"
-               "  --parallel         alias for --sim3-backend bitpar\n"
+               "  --sim3-backend B   three-valued backend: bitpar (64\n"
+               "                     faults/word, default) or event (serial\n"
+               "                     reference); identical results (see\n"
+               "                     docs/SIM3.md)\n"
                "  --deterministic    compacted (targeted) sequence\n"
                "  --sync             synchronizing-sequence analysis\n"
                "  --show-undetected  list undetected faults\n"
@@ -254,9 +253,6 @@ Options parse_args(int argc, char** argv) {
         fail("--sim3-backend expects event or bitpar, got '" + s + "'");
       }
       o.sim.sim3_backend = *b;
-      o.sim3_backend_set = true;
-    } else if (a == "--parallel") {
-      o.sim.sim3_backend = Sim3Backend::BitPar;
       o.sim3_backend_set = true;
     }
     else if (a == "--deterministic") o.deterministic = true;
@@ -517,7 +513,7 @@ int run_campaign_mode(const Options& o, const Netlist& nl,
   Expected<CampaignResult, std::string> res =
       Unexpected<std::string>{"unreachable"};
   const char* mode = "fresh";
-  // An explicit --sim3-backend / --parallel overrides the backend the
+  // An explicit --sim3-backend overrides the backend the
   // store recorded (pure perf knob, results identical either way).
   const std::optional<Sim3Backend> backend =
       o.sim3_backend_set ? std::optional<Sim3Backend>(o.sim.sim3_backend)

@@ -9,8 +9,9 @@
 // Each connection runs one sender thread (sleeps until the next
 // scheduled instant, writes the frame, records the send time by
 // request id) and one reader thread (matches responses by id, records
-// latency). The summary reuses obs::Histogram::quantile for
-// p50/p90/p99 and is written to BENCH_serve.json.
+// latency). The summary reports p50/p90/p99 as exact order statistics
+// over every completed request (obs::exact_quantile) and is written to
+// BENCH_serve.json.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -550,22 +551,17 @@ int main(int argc, char** argv) {
                                                      stats.completed),
                           motsim::obs::LogField::f64("wall_s", wall)});
 
-  // Percentiles via the shared histogram-quantile machinery (the same
-  // interpolation the serve telemetry digest uses).
-  static const std::vector<double> kBounds = {
-      1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03,
-      0.1,  0.3,  1.0,  3.0,  10.0, 30.0, 100.0};
-  motsim::obs::Histogram hist(kBounds);
+  // Percentiles as exact order statistics over every latency (bucket
+  // interpolation could report a p99 above the maximum).
   double max_latency = 0.0;
   double sum_latency = 0.0;
   for (const double l : stats.latencies) {
-    hist.observe(l);
     sum_latency += l;
     if (l > max_latency) max_latency = l;
   }
-  const double p50 = hist.quantile(0.50);
-  const double p90 = hist.quantile(0.90);
-  const double p99 = hist.quantile(0.99);
+  const double p50 = motsim::obs::exact_quantile(stats.latencies, 0.50);
+  const double p90 = motsim::obs::exact_quantile(stats.latencies, 0.90);
+  const double p99 = motsim::obs::exact_quantile(stats.latencies, 0.99);
   const double mean = stats.latencies.empty()
                           ? 0.0
                           : sum_latency /
