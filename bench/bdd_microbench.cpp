@@ -188,6 +188,37 @@ void BM_BddGcAfterPeak(benchmark::State& state) {
 }
 BENCHMARK(BM_BddGcAfterPeak);
 
+/// The propagator's handle traffic with no apply call: per "fault", a
+/// scratch vector takes copies of live functions, a few of them are
+/// copied into a (position, function) diff list, and the scratch is
+/// dropped again. Isolates what copying, assigning and destroying a
+/// handle costs; an item is one handle operation.
+void BM_BddHandleChurn(benchmark::State& state) {
+  BddManager mgr;
+  const auto live = random_functions(mgr, 24, 256, 13);
+  std::vector<Bdd> scratch(live.size());
+  std::vector<std::pair<std::uint32_t, Bdd>> diff;
+  Rng rng(14);
+  std::vector<std::uint32_t> touched(64);
+  for (std::uint32_t& n : touched) {
+    n = static_cast<std::uint32_t>(rng.below(256));
+  }
+  for (auto _ : state) {
+    for (std::uint32_t k = 0; k < touched.size(); ++k) {
+      scratch[touched[k]] = live[(touched[k] + k) % live.size()];
+    }
+    diff.clear();
+    for (std::uint32_t k = 0; k < touched.size(); k += 4) {
+      diff.emplace_back(k, scratch[touched[k]]);
+    }
+    for (const std::uint32_t n : touched) scratch[n] = Bdd();
+    benchmark::DoNotOptimize(diff.data());
+  }
+  // 64 copy-assignments, 16 copies, 16 destructions, 64 resets.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 160);
+}
+BENCHMARK(BM_BddHandleChurn);
+
 void BM_BddAndExists(benchmark::State& state) {
   BddManager mgr;
   const auto fs = random_functions(mgr, 24, 64, 10);

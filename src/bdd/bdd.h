@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace motsim::bdd {
@@ -80,13 +81,29 @@ struct BddStats {
   double reorder_seconds = 0;
 };
 
+namespace detail {
+
+/// GC root table shared by a manager and its handles: one handle count
+/// per node slot plus the total. The manager allocates it; when the
+/// manager dies with handles still alive it only clears `owner`, and
+/// the last of those handles frees the block.
+struct RootTable {
+  BddManager* owner = nullptr;
+  std::vector<std::uint32_t> counts;  ///< handles per node slot
+  std::size_t total = 0;              ///< all handles, terminals included
+};
+
+}  // namespace detail
+
 /// RAII handle to a BDD function.
 ///
-/// A Bdd registers itself with its manager; garbage collection keeps
-/// every node reachable from a registered handle. Handles are cheap to
-/// copy/move (a pointer pair plus two list links); assignment between
-/// handles of one manager changes only the node id. The manager must
-/// outlive all of its handles.
+/// A Bdd is a (root table, node id) pair. It counts itself in its
+/// manager's root table, and garbage collection keeps every node
+/// reachable from a slot with a non-zero count. Copy is one increment,
+/// destruction one decrement, move steals the pair; all are inline.
+/// Only handles are counted, never internal edges, so collection stays
+/// mark-and-sweep. A handle that outlives its manager reads is_null()
+/// and may still be copied, assigned and destroyed.
 ///
 /// Boolean structure is exposed through operators:
 ///   `f & g`, `f | g`, `f ^ g`, `!f`, `f.xnor(g)`, `f.implies(g)`.
@@ -96,29 +113,51 @@ class Bdd {
  public:
   /// Null handle, not attached to any manager.
   Bdd() noexcept = default;
-  Bdd(const Bdd& other) noexcept;
-  Bdd(Bdd&& other) noexcept;
-  Bdd& operator=(const Bdd& other) noexcept;
-  Bdd& operator=(Bdd&& other) noexcept;
-  ~Bdd();
+  Bdd(const Bdd& other) noexcept : roots_(other.roots_), id_(other.id_) {
+    acquire();
+  }
+  Bdd(Bdd&& other) noexcept
+      : roots_(std::exchange(other.roots_, nullptr)),
+        id_(std::exchange(other.id_, kFalseId)) {}
+  Bdd& operator=(const Bdd& other) noexcept {
+    other.acquire();  // before release(): self-assignment stays counted
+    release();
+    roots_ = other.roots_;
+    id_ = other.id_;
+    return *this;
+  }
+  Bdd& operator=(Bdd&& other) noexcept {
+    if (this != &other) {
+      release();
+      roots_ = std::exchange(other.roots_, nullptr);
+      id_ = std::exchange(other.id_, kFalseId);
+    }
+    return *this;
+  }
+  ~Bdd() { release(); }
 
-  /// True for a default-constructed (detached) handle.
-  [[nodiscard]] bool is_null() const noexcept { return mgr_ == nullptr; }
+  /// True for a default-constructed (detached) handle, and for one
+  /// whose manager has been destroyed.
+  [[nodiscard]] bool is_null() const noexcept {
+    return roots_ == nullptr || roots_->owner == nullptr;
+  }
   /// True if this is the constant-false function.
   [[nodiscard]] bool is_zero() const noexcept {
-    return mgr_ != nullptr && id_ == kFalseId;
+    return id_ == kFalseId && !is_null();
   }
   /// True if this is the constant-true function.
   [[nodiscard]] bool is_one() const noexcept {
-    return mgr_ != nullptr && id_ == kTrueId;
+    return id_ == kTrueId && !is_null();
   }
   /// True if this is either constant.
   [[nodiscard]] bool is_const() const noexcept {
-    return mgr_ != nullptr && id_ <= kTrueId;
+    return id_ <= kTrueId && !is_null();
   }
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-  [[nodiscard]] BddManager* manager() const noexcept { return mgr_; }
+  [[nodiscard]] BddManager* manager() const noexcept {
+    return roots_ != nullptr ? roots_->owner : nullptr;
+  }
 
   /// Index of the topmost (root) variable; kTerminalVar for constants.
   [[nodiscard]] VarIndex top_var() const;
@@ -140,7 +179,7 @@ class Bdd {
 
   /// Functional equality (same manager and same canonical node).
   friend bool operator==(const Bdd& a, const Bdd& b) noexcept {
-    return a.mgr_ == b.mgr_ && a.id_ == b.id_;
+    return a.roots_ == b.roots_ && a.id_ == b.id_;
   }
   friend bool operator!=(const Bdd& a, const Bdd& b) noexcept {
     return !(a == b);
@@ -155,16 +194,28 @@ class Bdd {
 
  private:
   friend class BddManager;
-  Bdd(BddManager* mgr, NodeId id) noexcept;
+  Bdd(detail::RootTable* roots, NodeId id) noexcept : roots_(roots), id_(id) {
+    acquire();
+  }
 
-  void attach(BddManager* mgr, NodeId id) noexcept;
-  void detach() noexcept;
+  /// The owning manager; requires !is_null().
+  [[nodiscard]] BddManager& mgr() const noexcept { return *roots_->owner; }
 
-  BddManager* mgr_ = nullptr;
+  void acquire() const noexcept {
+    if (roots_ != nullptr) {
+      ++roots_->counts[id_];
+      ++roots_->total;
+    }
+  }
+  void release() noexcept {
+    if (roots_ != nullptr) {
+      --roots_->counts[id_];
+      if (--roots_->total == 0 && roots_->owner == nullptr) delete roots_;
+    }
+  }
+
+  detail::RootTable* roots_ = nullptr;
   NodeId id_ = kFalseId;
-  // Intrusive doubly-linked registry used by mark-and-sweep GC.
-  Bdd* reg_prev_ = nullptr;
-  Bdd* reg_next_ = nullptr;
 };
 
 /// Manager owning the node table, the unique table and the computed
@@ -172,14 +223,15 @@ class Bdd {
 ///
 /// THREAD-OWNERSHIP CONTRACT (relied on by core/parallel_sym_sim):
 /// a BddManager and every Bdd handle attached to it are single-
-/// threaded *by design* — no operation takes a lock, the handle
-/// registry is an unsynchronized intrusive list, and GC walks it
-/// concurrently with nothing. The rules:
+/// threaded *by design* — no operation takes a lock, and the root
+/// table's handle counts are plain integers that GC reads concurrently
+/// with nothing. The rules:
 ///
 ///   1. One manager is owned by exactly one thread at a time; all
 ///      operations on it and on its handles (including Bdd copy/move/
-///      destruction, which touch the registry) must run on that
-///      thread.
+///      destruction, which update the root table) must run on that
+///      thread. A handle that outlives its manager still updates the
+///      shared table, so it stays on the manager's last thread too.
 ///   2. Handles never cross manager boundaries; to move a function to
 ///      another thread's manager, rebuild it there via transfer().
 ///   3. Distinct managers on distinct threads never synchronize and
@@ -200,8 +252,8 @@ class BddManager {
 
   // ---- constants and variables -------------------------------------
 
-  [[nodiscard]] Bdd zero() { return Bdd(this, kFalseId); }
-  [[nodiscard]] Bdd one() { return Bdd(this, kTrueId); }
+  [[nodiscard]] Bdd zero() { return handle(kFalseId); }
+  [[nodiscard]] Bdd one() { return handle(kTrueId); }
   [[nodiscard]] Bdd constant(bool b) { return b ? one() : zero(); }
 
   /// Projection function of variable `index`; extends the variable
@@ -332,9 +384,9 @@ class BddManager {
 
   // ---- memory management ---------------------------------------------
 
-  /// Mark-and-sweep collection from all registered handles. Safe to
-  /// call at any quiescent point (never called implicitly during an
-  /// operation's recursion).
+  /// Mark-and-sweep collection from every node slot a handle holds.
+  /// Safe to call at any quiescent point (never called implicitly
+  /// during an operation's recursion).
   ///
   /// The cost tracks the work since the previous collection, not the
   /// node table's high-water mark: marking visits only nodes reachable
@@ -355,10 +407,10 @@ class BddManager {
 
   [[nodiscard]] const BddStats& stats() const noexcept { return stats_; }
 
-  /// Number of currently registered handles (tests use this to verify
-  /// RAII bookkeeping).
+  /// Number of live non-null handles (tests use this to verify RAII
+  /// bookkeeping).
   [[nodiscard]] std::size_t handle_count() const noexcept {
-    return handle_counter_;
+    return roots_->total;
   }
 
   /// Variable index of a node (kTerminalVar for terminals).
@@ -440,9 +492,8 @@ class BddManager {
                         const std::vector<VarIndex>& vars, std::size_t idx,
                         std::unordered_map<std::uint64_t, NodeId>& memo);
 
-  // Registry management (called by Bdd).
-  void register_handle(Bdd* h) noexcept;
-  void unregister_handle(Bdd* h) noexcept;
+  /// Handle to node `id` of this manager.
+  [[nodiscard]] Bdd handle(NodeId id) { return Bdd(roots_, id); }
 
   void maybe_auto_gc();
 
@@ -482,9 +533,8 @@ class BddManager {
   std::size_t cache_mask_ = 0;
   std::uint32_t cache_generation_ = 1;
 
-  // Handle registry.
-  Bdd* handles_head_ = nullptr;
-  std::size_t handle_counter_ = 0;
+  /// GC roots: handle counts per node slot, shared with the handles.
+  detail::RootTable* roots_ = nullptr;
 
   // Policy.
   std::size_t hard_node_limit_;

@@ -13,12 +13,12 @@
 namespace motsim::bdd {
 
 bool Bdd::eval(const std::vector<bool>& assignment) const {
-  assert(mgr_ != nullptr);
+  assert(!is_null());
   NodeId n = id_;
   while (n > kTrueId) {
-    const VarIndex v = mgr_->var_of(n);
+    const VarIndex v = mgr().var_of(n);
     const bool bit = v < assignment.size() ? assignment[v] : false;
-    n = bit ? mgr_->high_of(n) : mgr_->low_of(n);
+    n = bit ? mgr().high_of(n) : mgr().low_of(n);
   }
   return n == kTrueId;
 }

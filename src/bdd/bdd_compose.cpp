@@ -24,7 +24,7 @@ Bdd BddManager::compose(const Bdd& f, VarIndex v, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   ensure_vars(v + 1);  // the level lookups below must stay in bounds
   maybe_auto_gc();
-  return Bdd(this, compose_rec(f.id(), v, g.id()));
+  return handle(compose_rec(f.id(), v, g.id()));
 }
 
 NodeId BddManager::compose_rec(NodeId f, VarIndex v, NodeId g) {
@@ -96,7 +96,7 @@ Bdd BddManager::rename(const Bdd& f, const std::vector<VarIndex>& mapping) {
     memo_[n] = result;
     return result;
   };
-  return Bdd(this, rec(rec, f.id()));
+  return handle(rec(rec, f.id()));
 }
 
 Bdd BddManager::exists(const Bdd& f, const std::vector<VarIndex>& vars) {
@@ -108,7 +108,7 @@ Bdd BddManager::exists(const Bdd& f, const std::vector<VarIndex>& vars) {
     return var2level_[a] < var2level_[b];
   });
   std::unordered_map<NodeId, NodeId> memo;
-  return Bdd(this, quant_rec(f.id(), sorted, 0, /*existential=*/true, memo));
+  return handle(quant_rec(f.id(), sorted, 0, /*existential=*/true, memo));
 }
 
 Bdd BddManager::forall(const Bdd& f, const std::vector<VarIndex>& vars) {
@@ -120,7 +120,7 @@ Bdd BddManager::forall(const Bdd& f, const std::vector<VarIndex>& vars) {
     return var2level_[a] < var2level_[b];
   });
   std::unordered_map<NodeId, NodeId> memo;
-  return Bdd(this, quant_rec(f.id(), sorted, 0, /*existential=*/false, memo));
+  return handle(quant_rec(f.id(), sorted, 0, /*existential=*/false, memo));
 }
 
 NodeId BddManager::quant_rec(NodeId f, const std::vector<VarIndex>& vars,
@@ -169,7 +169,7 @@ Bdd BddManager::and_exists(const Bdd& f, const Bdd& g,
     return var2level_[a] < var2level_[b];
   });
   std::unordered_map<std::uint64_t, NodeId> memo;
-  return Bdd(this, and_exists_rec(f.id(), g.id(), sorted, 0, memo));
+  return handle(and_exists_rec(f.id(), g.id(), sorted, 0, memo));
 }
 
 NodeId BddManager::and_exists_rec(

@@ -11,84 +11,33 @@ namespace motsim::bdd {
 // Bdd handle
 // ---------------------------------------------------------------------------
 
-Bdd::Bdd(BddManager* mgr, NodeId id) noexcept { attach(mgr, id); }
-
-Bdd::Bdd(const Bdd& other) noexcept { attach(other.mgr_, other.id_); }
-
-Bdd::Bdd(Bdd&& other) noexcept {
-  attach(other.mgr_, other.id_);
-  other.detach();
-}
-
-// Assignment between handles of one manager keeps the target's
-// registry link: only the node id changes, so the registry (the GC root
-// set) is touched at most for the moved-from handle.
-
-Bdd& Bdd::operator=(const Bdd& other) noexcept {
-  if (mgr_ != nullptr && mgr_ == other.mgr_) {
-    id_ = other.id_;
-  } else if (this != &other) {
-    detach();
-    attach(other.mgr_, other.id_);
-  }
-  return *this;
-}
-
-Bdd& Bdd::operator=(Bdd&& other) noexcept {
-  if (this == &other) return *this;
-  if (mgr_ != nullptr && mgr_ == other.mgr_) {
-    id_ = other.id_;
-  } else {
-    detach();
-    attach(other.mgr_, other.id_);
-  }
-  other.detach();
-  return *this;
-}
-
-Bdd::~Bdd() { detach(); }
-
-void Bdd::attach(BddManager* mgr, NodeId id) noexcept {
-  mgr_ = mgr;
-  id_ = id;
-  if (mgr_ != nullptr) mgr_->register_handle(this);
-}
-
-void Bdd::detach() noexcept {
-  if (mgr_ != nullptr) {
-    mgr_->unregister_handle(this);
-    mgr_ = nullptr;
-    id_ = kFalseId;
-  }
-}
-
 VarIndex Bdd::top_var() const {
-  assert(mgr_ != nullptr);
-  return mgr_->var_of(id_);
+  assert(!is_null());
+  return mgr().var_of(id_);
 }
 
 Bdd Bdd::high() const {
-  assert(mgr_ != nullptr && !is_const());
-  return Bdd(mgr_, mgr_->high_of(id_));
+  assert(!is_null() && !is_const());
+  return Bdd(roots_, mgr().high_of(id_));
 }
 
 Bdd Bdd::low() const {
-  assert(mgr_ != nullptr && !is_const());
-  return Bdd(mgr_, mgr_->low_of(id_));
+  assert(!is_null() && !is_const());
+  return Bdd(roots_, mgr().low_of(id_));
 }
 
-Bdd Bdd::operator&(const Bdd& rhs) const { return mgr_->apply_and(*this, rhs); }
-Bdd Bdd::operator|(const Bdd& rhs) const { return mgr_->apply_or(*this, rhs); }
-Bdd Bdd::operator^(const Bdd& rhs) const { return mgr_->apply_xor(*this, rhs); }
-Bdd Bdd::operator!() const { return mgr_->apply_not(*this); }
-Bdd Bdd::xnor(const Bdd& rhs) const { return mgr_->apply_xnor(*this, rhs); }
+Bdd Bdd::operator&(const Bdd& rhs) const { return mgr().apply_and(*this, rhs); }
+Bdd Bdd::operator|(const Bdd& rhs) const { return mgr().apply_or(*this, rhs); }
+Bdd Bdd::operator^(const Bdd& rhs) const { return mgr().apply_xor(*this, rhs); }
+Bdd Bdd::operator!() const { return mgr().apply_not(*this); }
+Bdd Bdd::xnor(const Bdd& rhs) const { return mgr().apply_xnor(*this, rhs); }
 Bdd Bdd::implies(const Bdd& rhs) const {
-  return mgr_->apply_or(mgr_->apply_not(*this), rhs);
+  return mgr().apply_or(mgr().apply_not(*this), rhs);
 }
 
 std::size_t Bdd::node_count() const {
-  assert(mgr_ != nullptr);
-  return mgr_->node_count(*this);
+  assert(!is_null());
+  return mgr().node_count(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -133,37 +82,17 @@ BddManager::BddManager(const BddConfig& config)
 
   cache_.assign(std::size_t{1} << config.cache_size_log2, CacheEntry{});
   cache_mask_ = cache_.size() - 1;
+
+  // Last, so that no later step can throw and leak the block.
+  roots_ = new detail::RootTable{
+      this, std::vector<std::uint32_t>(nodes_.size(), 0), 0};
 }
 
 BddManager::~BddManager() {
-  // Handles must not outlive the manager; detach any stragglers so
-  // their destructors do not touch freed memory.
-  while (handles_head_ != nullptr) {
-    Bdd* h = handles_head_;
-    h->mgr_ = nullptr;
-    handles_head_ = h->reg_next_;
-    if (handles_head_ != nullptr) handles_head_->reg_prev_ = nullptr;
-    h->reg_prev_ = h->reg_next_ = nullptr;
-  }
-}
-
-void BddManager::register_handle(Bdd* h) noexcept {
-  h->reg_prev_ = nullptr;
-  h->reg_next_ = handles_head_;
-  if (handles_head_ != nullptr) handles_head_->reg_prev_ = h;
-  handles_head_ = h;
-  ++handle_counter_;
-}
-
-void BddManager::unregister_handle(Bdd* h) noexcept {
-  if (h->reg_prev_ != nullptr) {
-    h->reg_prev_->reg_next_ = h->reg_next_;
-  } else {
-    handles_head_ = h->reg_next_;
-  }
-  if (h->reg_next_ != nullptr) h->reg_next_->reg_prev_ = h->reg_prev_;
-  h->reg_prev_ = h->reg_next_ = nullptr;
-  --handle_counter_;
+  // Handles that outlive the manager keep the root table alive and
+  // read is_null(); the last of them frees it.
+  roots_->owner = nullptr;
+  if (roots_->total == 0) delete roots_;
 }
 
 std::size_t BddManager::bucket_of(VarIndex var, NodeId lo,
@@ -210,6 +139,7 @@ NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
   } else {
     id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(Node{});
+    roots_->counts.push_back(0);
   }
   fresh_.push_back(id);
   ++live_count_;
@@ -248,12 +178,12 @@ void BddManager::unlink_from_bucket(NodeId id) {
 
 Bdd BddManager::var(VarIndex index) {
   ensure_vars(index + 1);
-  return Bdd(this, make_node(index, kFalseId, kTrueId));
+  return handle(make_node(index, kFalseId, kTrueId));
 }
 
 Bdd BddManager::nvar(VarIndex index) {
   ensure_vars(index + 1);
-  return Bdd(this, make_node(index, kTrueId, kFalseId));
+  return handle(make_node(index, kTrueId, kFalseId));
 }
 
 void BddManager::ensure_vars(VarIndex count) {
@@ -281,27 +211,32 @@ void BddManager::gc() {
   ++stats_.gc_runs;
   const std::size_t live_before = live_count_;
 
-  // Mark: iterative DFS from every handle (BDDs can be deep on wide
-  // circuits); a node is marked when its stamp equals this epoch.
+  // Mark: iterative DFS (BDDs can be deep on wide circuits) from every
+  // used slot a handle holds; only the last survivors and the slots
+  // allocated since are used. A node is marked when its stamp equals
+  // this epoch.
   const std::uint32_t marked = next_epoch();
-  for (const Bdd* h = handles_head_; h != nullptr; h = h->reg_next_) {
-    if (h->id_ <= kTrueId || stamp_[h->id_] == marked) continue;
-    stamp_[h->id_] = marked;
-    stack_.push_back(h->id_);
-    while (!stack_.empty()) {
-      const Node& node = nodes_[stack_.back()];
-      stack_.pop_back();
-      for (const NodeId child : {node.lo, node.hi}) {
-        if (child > kTrueId && stamp_[child] != marked) {
-          stamp_[child] = marked;
-          stack_.push_back(child);
+  const std::vector<std::uint32_t>& counts = roots_->counts;
+  for (const std::vector<NodeId>* slots : {&survivors_, &fresh_}) {
+    for (const NodeId root : *slots) {
+      if (counts[root] == 0 || stamp_[root] == marked) continue;
+      stamp_[root] = marked;
+      stack_.push_back(root);
+      while (!stack_.empty()) {
+        const Node& node = nodes_[stack_.back()];
+        stack_.pop_back();
+        for (const NodeId child : {node.lo, node.hi}) {
+          if (child > kTrueId && stamp_[child] != marked) {
+            stamp_[child] = marked;
+            stack_.push_back(child);
+          }
         }
       }
     }
   }
 
-  // Sweep: only the last survivors and the slots allocated since can
-  // hold nodes. Dead ones leave their bucket chain for the free list.
+  // Sweep the same slots: dead ones leave their bucket chain for the
+  // free list.
   slot_buf_.clear();
   for (const std::vector<NodeId>* slots : {&survivors_, &fresh_}) {
     for (const NodeId id : *slots) {

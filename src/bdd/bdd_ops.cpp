@@ -27,44 +27,44 @@ inline void canonicalize(NodeId& f, NodeId& g) {
 Bdd BddManager::apply_not(const Bdd& f) {
   assert(f.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, not_rec(f.id()));
+  return handle(not_rec(f.id()));
 }
 
 Bdd BddManager::apply_and(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, and_rec(f.id(), g.id()));
+  return handle(and_rec(f.id(), g.id()));
 }
 
 Bdd BddManager::apply_or(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, or_rec(f.id(), g.id()));
+  return handle(or_rec(f.id(), g.id()));
 }
 
 Bdd BddManager::apply_xor(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, xor_rec(f.id(), g.id()));
+  return handle(xor_rec(f.id(), g.id()));
 }
 
 Bdd BddManager::apply_xnor(const Bdd& f, const Bdd& g) {
   assert(f.manager() == this && g.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, not_rec(xor_rec(f.id(), g.id())));
+  return handle(not_rec(xor_rec(f.id(), g.id())));
 }
 
 Bdd BddManager::ite(const Bdd& f, const Bdd& g, const Bdd& h) {
   assert(f.manager() == this && g.manager() == this && h.manager() == this);
   maybe_auto_gc();
-  return Bdd(this, ite_rec(f.id(), g.id(), h.id()));
+  return handle(ite_rec(f.id(), g.id(), h.id()));
 }
 
 Bdd BddManager::restrict_var(const Bdd& f, VarIndex v, bool value) {
   assert(f.manager() == this);
   ensure_vars(v + 1);  // the level lookup below must stay in bounds
   maybe_auto_gc();
-  return Bdd(this, restrict_rec(f.id(), v, value));
+  return handle(restrict_rec(f.id(), v, value));
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ Bdd BddManager::constrain(const Bdd& f, const Bdd& c) {
     throw std::invalid_argument("constrain: care set must be non-empty");
   }
   maybe_auto_gc();
-  return Bdd(this, constrain_rec(f.id(), c.id()));
+  return handle(constrain_rec(f.id(), c.id()));
 }
 
 NodeId BddManager::constrain_rec(NodeId f, NodeId c) {

@@ -4,8 +4,8 @@
 // The key property making in-place reordering safe is that a node's
 // IDENTITY (NodeId) always denotes the same boolean function: the
 // exchange rewrites a node's (var, lo, hi) triple but preserves its
-// function, so every registered handle and every computed-cache entry
-// stays valid. Only the *shape* of the DAG changes.
+// function, so every handle and every computed-cache entry stays
+// valid. Only the *shape* of the DAG changes.
 
 #include <algorithm>
 #include <cassert>

@@ -1,5 +1,6 @@
 #include "core/sym_fault_sim.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace motsim {
@@ -90,6 +91,24 @@ SymFaultPropagator::SymFaultPropagator(const Netlist& netlist,
       scratch_stamp_(netlist.node_count(), 0),
       queue_(netlist) {
   mgr.ensure_vars(vars.var_count());
+  // Group the flip-flop positions by D-input net (CSR, ascending
+  // positions within a group).
+  const std::vector<NodeIndex>& dffs = netlist.dffs();
+  auto d_net = [&](std::uint32_t pos) {
+    return netlist.gate(dffs[pos]).fanins[0];
+  };
+  latch_begin_.assign(netlist.node_count() + 1, 0);
+  for (std::uint32_t pos = 0; pos < dffs.size(); ++pos) {
+    ++latch_begin_[d_net(pos) + 1];
+  }
+  for (std::size_t n = 0; n < netlist.node_count(); ++n) {
+    latch_begin_[n + 1] += latch_begin_[n];
+  }
+  latch_pos_.resize(dffs.size());
+  std::vector<std::uint32_t> fill(latch_begin_.begin(), latch_begin_.end());
+  for (std::uint32_t pos = 0; pos < dffs.size(); ++pos) {
+    latch_pos_[fill[d_net(pos)]++] = pos;
+  }
 }
 
 const Bdd& SymFaultPropagator::fval(NodeIndex node,
@@ -254,15 +273,29 @@ bool SymFaultPropagator::update_mot(Bdd& detect, SymFrameContext& ctx) {
 void SymFaultPropagator::latch_diffs(
     const Fault& fault, const Bdd& sv, SymFrameContext& ctx,
     std::vector<std::pair<std::uint32_t, Bdd>>& out) {
+  // A flip-flop latches a value other than the fault-free next state
+  // only if its D-input net changed this frame, or if the fault is a
+  // branch fault on its D pin (the pin reads the stuck value whatever
+  // the net carries).
   const Netlist& nl = *netlist_;
-  const std::vector<Bdd>& good = ctx.good_values();
   const std::vector<Bdd>& good_next = ctx.good_next_state();
+  const std::uint32_t pin_pos = fault.site.is_stem()
+                                    ? kNoLatch
+                                    : nl.dff_position(fault.site.node);
+  latch_buf_.clear();
+  if (pin_pos != kNoLatch) latch_buf_.push_back(pin_pos);
+  for (const NodeIndex n : changed_) {
+    for (std::uint32_t i = latch_begin_[n]; i < latch_begin_[n + 1]; ++i) {
+      if (latch_pos_[i] != pin_pos) latch_buf_.push_back(latch_pos_[i]);
+    }
+  }
+  // Position order is part of the state_diff contract (checkpoints and
+  // the three-valued hand-off see it).
+  std::sort(latch_buf_.begin(), latch_buf_.end());
   out.clear();
-  for (std::uint32_t pos = 0; pos < nl.dffs().size(); ++pos) {
-    const NodeIndex dff = nl.dffs()[pos];
-    const NodeIndex d = nl.gate(dff).fanins[0];
-    Bdd fv = fval(d, good);
-    if (!fault.site.is_stem() && fault.site.node == dff) fv = sv;
+  for (const std::uint32_t pos : latch_buf_) {
+    const Bdd& fv =
+        pos == pin_pos ? sv : scratch_val_[nl.gate(nl.dffs()[pos]).fanins[0]];
     if (fv != good_next[pos]) out.emplace_back(pos, fv);
   }
 }

@@ -220,6 +220,12 @@ class SymFaultPropagator {
   std::uint32_t stamp_ = 0;
   EventQueue queue_;
   std::vector<NodeIndex> changed_;
+  // Flip-flop positions grouped by D-input net: the positions fed by
+  // node n are latch_pos_[latch_begin_[n] .. latch_begin_[n + 1]).
+  static constexpr std::uint32_t kNoLatch = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> latch_begin_;
+  std::vector<std::uint32_t> latch_pos_;
+  std::vector<std::uint32_t> latch_buf_;  ///< latch_diffs scratch
   bool trim_ = false;
   TrimCounters trim_counters_;
   SgraphCounters sgraph_counters_;

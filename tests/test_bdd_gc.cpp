@@ -262,6 +262,112 @@ TEST(BddGc, ManagerOutlivesDetachedHandles) {
   EXPECT_TRUE(stray.is_null());
 }
 
+TEST(BddGc, RootCountsTrackRandomHandleChurn) {
+  // Handles of two managers share one pool, so assignments cross
+  // managers as often as not. After each batch, every manager's live
+  // set must be exactly what its non-null handles reach, and its
+  // handle count exactly their number.
+  BddManager m0, m1;
+  BddManager* const mgrs[] = {&m0, &m1};
+  Rng rng(17);
+  std::vector<Bdd> pool;
+  for (BddManager* m : mgrs) {
+    for (unsigned v = 0; v < 4; ++v) pool.push_back(m->var(v));
+  }
+  for (int batch = 0; batch < 40; ++batch) {
+    for (int op = 0; op < 200; ++op) {
+      const std::size_t i = rng.below(pool.size());
+      const std::size_t j = rng.below(pool.size());
+      switch (rng.below(8)) {
+        case 0:  // copy-construct
+          pool.push_back(pool[j]);
+          break;
+        case 1:  // copy-assign
+          pool[i] = pool[j];
+          break;
+        case 2:  // move-assign (i == j is a self-move)
+          pool[i] = std::move(pool[j]);
+          break;
+        case 3: {  // self-assign
+          Bdd& self = pool[i];
+          pool[i] = self;
+          break;
+        }
+        case 4:  // reset to null
+          pool[i] = Bdd();
+          break;
+        case 5: {  // move-construct
+          Bdd moved(std::move(pool[j]));
+          pool.push_back(std::move(moved));
+          break;
+        }
+        default: {  // a fresh function of either manager
+          BddManager& m = *mgrs[rng.below(2)];
+          Bdd f = m.var(static_cast<VarIndex>(rng.below(10)));
+          if (pool[j].manager() == &m) {
+            f = rng.flip() ? f ^ pool[j] : f & pool[j];
+          }
+          pool[i] = f;
+          break;
+        }
+      }
+    }
+    if (pool.size() > 400) pool.resize(200);
+    for (BddManager* m : mgrs) {
+      m->gc();
+      std::vector<Bdd> mine;
+      for (const Bdd& h : pool) {
+        if (h.manager() == m) mine.push_back(h);
+      }
+      const std::size_t handles = mine.size();
+      EXPECT_EQ(m->live_node_count(),
+                m->node_count(std::span<const Bdd>(mine)));
+      mine.clear();
+      EXPECT_EQ(m->handle_count(), handles);
+    }
+  }
+}
+
+TEST(BddGc, StrayHandlesStayNullAfterTheirManagerDies) {
+  BddManager live;
+  const Bdd live_f = live.var(0) & live.var(1);
+  for (const bool front_first : {false, true}) {
+    std::vector<Bdd> strays;
+    {
+      BddManager mgr;
+      strays.push_back(mgr.var(0));
+      strays.push_back(mgr.var(1) ^ mgr.var(2));
+      strays.push_back(mgr.one());
+    }
+    const Bdd copy = strays[0];
+    strays.push_back(copy);
+    strays[1] = strays[2];
+    strays[2] = std::move(strays[3]);
+    strays[3] = strays[0];
+    Bdd was_live = live.var(3);
+    was_live = strays[1];
+    strays.push_back(std::move(was_live));
+    for (const Bdd& h : strays) EXPECT_TRUE(h.is_null());
+    EXPECT_TRUE(copy.is_null());
+
+    Bdd revived = strays[0];
+    revived = live_f;
+    EXPECT_EQ(revived, live_f);
+    EXPECT_EQ(live.handle_count(), 2u);  // live_f and revived
+
+    while (!strays.empty()) {
+      if (front_first) {
+        strays.erase(strays.begin());
+      } else {
+        strays.pop_back();
+      }
+    }
+  }
+  live.gc();
+  EXPECT_EQ(live.handle_count(), 1u);
+  EXPECT_EQ(live.live_node_count(), live_f.node_count());
+}
+
 /// Number of internal nodes reachable from `roots` that the unique
 /// table fails to return when the node is rebuilt from its own
 /// (var, high, low) triple — each one is a duplicated node.

@@ -11,6 +11,7 @@
 #include "core/sym_true_value.h"
 #include "core/test_eval.h"
 #include "faults/collapse.h"
+#include "faults/fault_list.h"
 #include "reference.h"
 #include "sim3/sim2.h"
 #include "tpg/sequences.h"
@@ -362,6 +363,156 @@ TEST(SymFaultSim, DetectFrameIsRecorded) {
   EXPECT_EQ(r.detected_count, 1u);
   EXPECT_EQ(r.detect_frame[0], 2u);
   EXPECT_EQ(r.status[0], FaultStatus::DetectedSot);
+}
+
+// ---------------------------------------------------------------------------
+// Next-state divergence: the event-driven latch against a full frame
+// ---------------------------------------------------------------------------
+
+using StateDiff = std::vector<std::pair<std::uint32_t, Bdd>>;
+
+/// Reference latch: evaluates the whole faulty frame in topological
+/// order (no events) from `faulty_state`, advances it to the faulty
+/// next state, and scans every flip-flop against `good_next`.
+StateDiff full_frame_state_diff(const Netlist& nl, bdd::BddManager& mgr,
+                                const Fault& fault,
+                                const std::vector<Val3>& inputs,
+                                std::vector<Bdd>& faulty_state,
+                                const std::vector<Bdd>& good_next) {
+  const Bdd sv = mgr.constant(fault.stuck_value);
+  const bool stem = fault.site.is_stem();
+  std::vector<Bdd> val(nl.node_count());
+  for (std::size_t i = 0; i < nl.input_count(); ++i) {
+    val[nl.inputs()[i]] = mgr.constant(inputs[i] == Val3::One);
+  }
+  for (std::size_t pos = 0; pos < nl.dff_count(); ++pos) {
+    val[nl.dffs()[pos]] = faulty_state[pos];
+  }
+  for (const NodeIndex n : nl.topo_order()) {
+    const Gate& g = nl.gate(n);
+    if (!is_frame_input(g.type) || g.type == GateType::Const0 ||
+        g.type == GateType::Const1) {
+      val[n] = eval_gate_sym(mgr, g.type, g.fanins.size(),
+                             [&](std::size_t i) -> const Bdd& {
+                               if (!stem && n == fault.site.node &&
+                                   i == fault.site.pin) {
+                                 return sv;
+                               }
+                               return val[g.fanins[i]];
+                             });
+    }
+    if (stem && n == fault.site.node) val[n] = sv;
+  }
+  StateDiff diff;
+  for (std::uint32_t pos = 0; pos < nl.dff_count(); ++pos) {
+    const NodeIndex dff = nl.dffs()[pos];
+    faulty_state[pos] =
+        !stem && fault.site.node == dff ? sv : val[nl.gate(dff).fanins[0]];
+    if (faulty_state[pos] != good_next[pos]) {
+      diff.emplace_back(pos, faulty_state[pos]);
+    }
+  }
+  return diff;
+}
+
+/// Runs every fault alone under SOT and checks, after each step() that
+/// leaves the fault live, that its state_diff equals the full-frame
+/// reference entry by entry, in ascending position order.
+void expect_latch_matches_full_frame(const Netlist& nl,
+                                     const std::vector<Fault>& faults,
+                                     const TestSequence& seq) {
+  for (const Fault& fault : faults) {
+    bdd::BddManager mgr;
+    const StateVars vars(nl.dff_count());
+    SymTrueValueSim good(nl, mgr, vars);
+    SymFaultPropagator prop(nl, mgr, vars);
+    SymFaultState fs{mgr.one(), {}};
+    std::vector<Bdd> faulty_state;
+    for (std::size_t pos = 0; pos < nl.dff_count(); ++pos) {
+      faulty_state.push_back(mgr.var(vars.x(pos)));
+    }
+    for (std::size_t t = 0; t < seq.size(); ++t) {
+      good.step(seq[t]);
+      SymFrameContext ctx(good.values(), good.state(), nl.output_count());
+      const StateDiff want = full_frame_state_diff(nl, mgr, fault, seq[t],
+                                                   faulty_state, good.state());
+      if (prop.step(fault, Strategy::Sot, fs, ctx)) break;
+      const auto where = [&] {
+        return nl.name() + " node " + std::to_string(fault.site.node) +
+               " pin " + std::to_string(fault.site.pin) + " s-a-" +
+               std::to_string(fault.stuck_value) + " frame " +
+               std::to_string(t + 1);
+      };
+      ASSERT_EQ(fs.state_diff.size(), want.size()) << where();
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(fs.state_diff[i].first, want[i].first) << where();
+        EXPECT_TRUE(fs.state_diff[i].second == want[i].second) << where();
+      }
+    }
+  }
+}
+
+TEST(SymLatch, HandBuiltFlipFlopFanoutsMatchFullFrame) {
+  // Flip-flop positions are declared against propagation order: q0
+  // latches the deepest net, q1..q3 form a shift chain from an input,
+  // and q4/q5 share one D net.
+  Netlist nl("latch");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q0 = nl.add_dff(kNoNode, "q0");
+  const NodeIndex q1 = nl.add_dff(a, "q1");
+  const NodeIndex q2 = nl.add_dff(q1, "q2");
+  const NodeIndex q3 = nl.add_dff(q2, "q3");
+  const NodeIndex shared = nl.add_gate(GateType::Xor, {b, q3}, "shared");
+  const NodeIndex q4 = nl.add_dff(shared, "q4");
+  const NodeIndex q5 = nl.add_dff(shared, "q5");
+  const NodeIndex mix = nl.add_gate(GateType::And, {q4, q0}, "mix");
+  const NodeIndex deep = nl.add_gate(GateType::Or, {mix, q5}, "deep");
+  nl.set_fanins(q0, {deep});
+  nl.mark_output(q3);
+  nl.mark_output(deep);
+  nl.finalize();
+
+  std::vector<Fault> faults;
+  for (const bool v : {false, true}) {
+    faults.push_back(Fault{FaultSite{q4, 0}, v});        // D-pin branch
+    faults.push_back(Fault{FaultSite{q0, 0}, v});        // D-pin branch
+    faults.push_back(Fault{FaultSite{q2, kStemPin}, v});  // flip-flop output
+    faults.push_back(Fault{FaultSite{shared, kStemPin}, v});  // feeds q4, q5
+    faults.push_back(Fault{FaultSite{a, kStemPin}, v});  // shift-chain head
+    faults.push_back(Fault{FaultSite{deep, kStemPin}, v});
+  }
+  expect_latch_matches_full_frame(
+      nl, faults,
+      sequence_from_strings({"01", "10", "11", "00", "01", "11", "10", "00"}));
+}
+
+TEST(SymLatch, SynthStylesMatchFullFrame) {
+  for (int style = 0; style <= static_cast<int>(CircuitStyle::AcyclicPipeline);
+       ++style) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SynthSpec spec;
+      spec.name = std::string(to_cstring(static_cast<CircuitStyle>(style))) +
+                  std::to_string(seed);
+      spec.inputs = 3;
+      spec.outputs = 2;
+      spec.dffs = 5;
+      spec.target_gates = 30;
+      spec.style = static_cast<CircuitStyle>(style);
+      spec.seed = seed;
+      const Netlist nl = generate_circuit(spec);
+      const std::vector<Fault> all = all_faults(nl);
+      Rng rng(seed * 31 + static_cast<std::uint64_t>(style));
+      std::vector<Fault> faults;
+      for (const Fault& f : all) {
+        if (!f.site.is_stem() && nl.type(f.site.node) == GateType::Dff) {
+          faults.push_back(f);
+        }
+      }
+      for (int i = 0; i < 12; ++i) faults.push_back(all[rng.below(all.size())]);
+      expect_latch_matches_full_frame(nl, faults, random_sequence(nl, 8, rng));
+    }
+  }
 }
 
 }  // namespace
