@@ -1,12 +1,16 @@
 // Micro-benchmarks of the OBDD package (google-benchmark): the kernels
 // the symbolic fault simulator leans on — AND/XOR/ITE recursion,
 // composition, the order-preserving rename used by MOT, quantification
-// and garbage collection.
+// and garbage collection — and the propagation loop on top of them.
 
 #include <benchmark/benchmark.h>
 
 #include "bdd/bdd.h"
+#include "bench_data/registry.h"
+#include "core/sym_fault_sim.h"
 #include "core/sym_true_value.h"
+#include "faults/collapse.h"
+#include "tpg/sequences.h"
 #include "util/rng.h"
 
 namespace {
@@ -132,16 +136,72 @@ void BM_BddExists(benchmark::State& state) {
 BENCHMARK(BM_BddExists);
 
 void BM_BddParity(benchmark::State& state) {
-  // Linear-size worst case of the unique table: n-variable parity.
+  // Linear-size worst case of the unique table: n-variable parity. One
+  // manager for the whole run; the untimed collection between
+  // iterations frees the chain and invalidates the computed cache, so
+  // every iteration builds the chain afresh. An item is one XOR.
   const auto n = static_cast<unsigned>(state.range(0));
+  BddManager mgr;
+  std::vector<Bdd> vars;
+  for (unsigned v = 0; v < n; ++v) vars.push_back(mgr.var(v));
   for (auto _ : state) {
-    BddManager mgr;
     Bdd p = mgr.zero();
-    for (unsigned v = 0; v < n; ++v) p ^= mgr.var(v);
-    benchmark::DoNotOptimize(p.node_count());
+    for (const Bdd& v : vars) p ^= v;
+    benchmark::DoNotOptimize(p.id());
+    state.PauseTiming();
+    p = Bdd();
+    mgr.gc();
+    state.ResumeTiming();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_BddParity)->Arg(16)->Arg(64)->Arg(256);
+
+/// The symbolic fault-frame loop of the hybrid engine without its
+/// fallback: every collapsed fault of s510 through 32 frames of a fixed
+/// random sequence under MOT, with the fault-free frame and the
+/// per-frame collection. s510 is a p90 job of the pipeline benchmark's
+/// mot_serial workload. An item is one gate evaluation of the
+/// propagator.
+void BM_SymPropagate(benchmark::State& state) {
+  const motsim::Netlist nl = motsim::make_benchmark("s510");
+  const motsim::CollapsedFaultList collapsed(nl);
+  Rng rng(510);
+  const motsim::TestSequence seq = motsim::random_sequence(nl, 32, rng);
+  std::uint64_t evaluations = 0;
+  for (auto _ : state) {
+    BddManager mgr;
+    const motsim::StateVars vars(nl.dff_count());
+    motsim::SymTrueValueSim good(nl, mgr, vars);
+    motsim::SymFaultPropagator prop(nl, mgr, vars);
+    std::vector<motsim::SymFaultState> live(collapsed.size());
+    std::vector<const motsim::Fault*> fault_of;
+    for (const motsim::Fault& f : collapsed.faults()) fault_of.push_back(&f);
+    for (motsim::SymFaultState& fs : live) fs.detect = mgr.one();
+    for (const auto& frame : seq) {
+      good.step(frame);
+      motsim::SymFrameContext ctx(good.values(), good.state(),
+                                  nl.output_count());
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        if (prop.step(*fault_of[i], motsim::Strategy::Mot, live[i], ctx)) {
+          continue;
+        }
+        if (keep != i) {
+          live[keep] = std::move(live[i]);
+          fault_of[keep] = fault_of[i];
+        }
+        ++keep;
+      }
+      live.resize(keep);
+      fault_of.resize(keep);
+      mgr.gc();
+    }
+    evaluations += prop.gate_evaluations();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(evaluations));
+}
+BENCHMARK(BM_SymPropagate)->Unit(benchmark::kMillisecond);
 
 void BM_BddGc(benchmark::State& state) {
   BddManager mgr;

@@ -37,6 +37,9 @@ inline constexpr VarIndex kTerminalVar = 0xFFFFFFFFu;
 
 class BddManager;
 
+/// Boolean fold of BddManager::apply_gate.
+enum class GateOp : std::uint8_t { And, Or, Xor };
+
 /// Thrown by node-creating operations when the manager's hard node
 /// limit is exceeded. The hybrid fault simulator catches this to
 /// trigger its three-valued fallback window (the paper's 30,000-node
@@ -256,6 +259,10 @@ class BddManager {
   [[nodiscard]] Bdd one() { return handle(kTrueId); }
   [[nodiscard]] Bdd constant(bool b) { return b ? one() : zero(); }
 
+  /// Handle to node `id`, which must be live (the id() of a handle of
+  /// this manager, or a terminal).
+  [[nodiscard]] Bdd handle(NodeId id) { return Bdd(roots_, id); }
+
   /// Projection function of variable `index`; extends the variable
   /// universe as needed.
   [[nodiscard]] Bdd var(VarIndex index);
@@ -305,6 +312,42 @@ class BddManager {
   [[nodiscard]] Bdd apply_xnor(const Bdd& f, const Bdd& g);
   /// If-then-else: f ? g : h.
   [[nodiscard]] Bdd ite(const Bdd& f, const Bdd& g, const Bdd& h);
+
+  /// One gate evaluation: folds `op` over `operands` from the left,
+  /// starting at the op's identity and stopping once the result is
+  /// absorbing (0 for AND, 1 for OR), then complements the result when
+  /// `negate` is set. Every operand must be the id() of a live handle
+  /// of this manager, since automatic collection may run.
+  ///
+  /// The sequence of operations, and with it every BddStats counter,
+  /// equals the handle-level fold `acc = one(); acc &= x_i ...; !acc`:
+  /// the automatic-GC check runs before every pairwise step (terminal
+  /// steps included) and before the negation, with the running result
+  /// rooted while a collection runs. The negation's check is merged
+  /// with the first step's when there is one operand, since nothing
+  /// allocates between them. A gate whose operands are all constants
+  /// folds plain booleans inline when no collection is due.
+  [[nodiscard]] Bdd apply_gate(GateOp op, bool negate,
+                               std::span<const NodeId> operands) {
+    if (live_count_ < next_gc_at_) {
+      // No collection is due, and a constant fold allocates nothing,
+      // so none of the fold's checks could fire.
+      bool acc = op == GateOp::And;
+      bool constant = true;
+      for (const NodeId x : operands) {
+        if (x > kTrueId) {
+          constant = false;
+          break;
+        }
+        const bool b = x == kTrueId;
+        acc = op == GateOp::And ? acc && b
+              : op == GateOp::Or ? acc || b
+                                 : acc != b;
+      }
+      if (constant) return handle((acc != negate) ? kTrueId : kFalseId);
+    }
+    return handle(gate_fold(op, negate, operands));
+  }
 
   /// Cofactor: f with variable `v` fixed to `value`.
   [[nodiscard]] Bdd restrict_var(const Bdd& f, VarIndex v, bool value);
@@ -463,7 +506,8 @@ class BddManager {
     return v == kTerminalVar ? kTerminalVar : var2level_[v];
   }
 
-  // Node construction.
+  // Node construction. make_node, bucket_of and the computed-cache
+  // functions are defined inline in bdd_internal.h.
   NodeId make_node(VarIndex var, NodeId lo, NodeId hi);
   NodeId allocate_slot(VarIndex var, NodeId lo, NodeId hi);
   void rehash(std::size_t new_bucket_count);
@@ -492,10 +536,14 @@ class BddManager {
                         const std::vector<VarIndex>& vars, std::size_t idx,
                         std::unordered_map<std::uint64_t, NodeId>& memo);
 
-  /// Handle to node `id` of this manager.
-  [[nodiscard]] Bdd handle(NodeId id) { return Bdd(roots_, id); }
+  /// apply_gate's fold over the non-constant case.
+  NodeId gate_fold(GateOp op, bool negate, std::span<const NodeId> operands);
 
-  void maybe_auto_gc();
+  void maybe_auto_gc() {
+    if (live_count_ >= next_gc_at_) gc();
+  }
+  /// maybe_auto_gc with `acc` rooted while the collection runs.
+  void maybe_auto_gc(NodeId acc);
 
   /// Fresh value for the epoch stamps below; stamps left by earlier
   /// passes never equal it.

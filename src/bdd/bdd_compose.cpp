@@ -17,6 +17,7 @@
 #include <unordered_map>
 
 #include "bdd/bdd.h"
+#include "bdd/bdd_internal.h"
 
 namespace motsim::bdd {
 

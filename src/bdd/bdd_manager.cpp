@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "bdd/bdd.h"
+#include "bdd/bdd_internal.h"
 #include "util/stopwatch.h"
 
 namespace motsim::bdd {
@@ -46,16 +47,6 @@ std::size_t Bdd::node_count() const {
 
 namespace {
 
-/// 64-bit avalanche mixer (Murmur3 finalizer) for unique-table hashing.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ull;
-  x ^= x >> 33;
-  return x;
-}
-
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
@@ -93,32 +84,6 @@ BddManager::~BddManager() {
   // read is_null(); the last of them frees it.
   roots_->owner = nullptr;
   if (roots_->total == 0) delete roots_;
-}
-
-std::size_t BddManager::bucket_of(VarIndex var, NodeId lo,
-                                  NodeId hi) const noexcept {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(var) << 40) ^
-      (static_cast<std::uint64_t>(lo) << 20) ^ static_cast<std::uint64_t>(hi);
-  return static_cast<std::size_t>(mix64(key)) & (buckets_.size() - 1);
-}
-
-NodeId BddManager::make_node(VarIndex var, NodeId lo, NodeId hi) {
-  // OBDD reduction rule: equal children collapse to the child.
-  if (lo == hi) return lo;
-
-  assert(var2level_[var] < level_of(lo) && var2level_[var] < level_of(hi) &&
-         "children must be below the node in the variable order");
-
-  const std::size_t bucket = bucket_of(var, lo, hi);
-  for (NodeId n = buckets_[bucket]; n != kFalseId; n = nodes_[n].next) {
-    const Node& node = nodes_[n];
-    if (node.var == var && node.lo == lo && node.hi == hi) {
-      ++stats_.unique_hits;
-      return n;
-    }
-  }
-  return allocate_slot(var, lo, hi);
 }
 
 NodeId BddManager::allocate_slot(VarIndex var, NodeId lo, NodeId hi) {
@@ -264,43 +229,6 @@ void BddManager::gc() {
   stats_.gc_reclaimed_nodes += live_before - live_count_;
   next_gc_at_ = std::max(auto_gc_floor_, live_count_ * 2);
   stats_.gc_seconds += gc_timer.elapsed_seconds();
-}
-
-void BddManager::maybe_auto_gc() {
-  if (live_count_ >= next_gc_at_) gc();
-}
-
-// ---------------------------------------------------------------------------
-// Computed cache
-// ---------------------------------------------------------------------------
-
-bool BddManager::cache_lookup(Op op, NodeId f, NodeId g, NodeId h,
-                              NodeId& out) {
-  ++stats_.cache_lookups;
-  const std::uint64_t key =
-      mix64((static_cast<std::uint64_t>(op) << 56) ^
-            (static_cast<std::uint64_t>(f) << 34) ^
-            (static_cast<std::uint64_t>(g) << 12) ^ h);
-  const CacheEntry& e = cache_[key & cache_mask_];
-  const std::uint32_t tag =
-      (cache_generation_ << 8) | static_cast<std::uint32_t>(op);
-  if (e.tag == tag && e.f == f && e.g == g && e.h == h) {
-    ++stats_.cache_hits;
-    out = e.result;
-    return true;
-  }
-  return false;
-}
-
-void BddManager::cache_insert(Op op, NodeId f, NodeId g, NodeId h,
-                              NodeId result) {
-  const std::uint64_t key =
-      mix64((static_cast<std::uint64_t>(op) << 56) ^
-            (static_cast<std::uint64_t>(f) << 34) ^
-            (static_cast<std::uint64_t>(g) << 12) ^ h);
-  cache_[key & cache_mask_] = CacheEntry{
-      f, g, h, result,
-      (cache_generation_ << 8) | static_cast<std::uint32_t>(op)};
 }
 
 }  // namespace motsim::bdd

@@ -1,14 +1,16 @@
 // Boolean operation kernels of the OBDD package: NOT / AND / OR / XOR /
-// ITE / cofactor. Each kernel is a classic depth-first recursion with
-// terminal-case short-circuits and memoization through the manager's
-// computed cache. Automatic garbage collection runs only at the public
-// entry points — never inside a recursion, where intermediate NodeIds
-// live solely on the call stack.
+// ITE / cofactor, and the gate fold over them. Each kernel is a classic
+// depth-first recursion with terminal-case short-circuits and
+// memoization through the manager's computed cache. Automatic garbage
+// collection runs only at the public entry points and between the
+// gate fold's steps — never inside a recursion, where intermediate
+// NodeIds live solely on the call stack.
 
 #include <algorithm>
 #include <cassert>
 
 #include "bdd/bdd.h"
+#include "bdd/bdd_internal.h"
 
 namespace motsim::bdd {
 
@@ -65,6 +67,44 @@ Bdd BddManager::restrict_var(const Bdd& f, VarIndex v, bool value) {
   ensure_vars(v + 1);  // the level lookup below must stay in bounds
   maybe_auto_gc();
   return handle(restrict_rec(f.id(), v, value));
+}
+
+void BddManager::maybe_auto_gc(NodeId acc) {
+  if (live_count_ < next_gc_at_) return;
+  const Bdd root = handle(acc);
+  gc();
+}
+
+NodeId BddManager::gate_fold(GateOp op, bool negate,
+                             std::span<const NodeId> operands) {
+  // The handle-level fold step by step: a GC check before each
+  // pairwise step, the first one (identity op x_0) included.
+  NodeId acc = op == GateOp::And ? kTrueId : kFalseId;
+  constexpr NodeId kNone = 0xFFFFFFFFu;  // XOR has no absorbing value
+  const NodeId absorbing = op == GateOp::And  ? kFalseId
+                           : op == GateOp::Or ? kTrueId
+                                              : kNone;
+  for (std::size_t i = 0; i < operands.size() && acc != absorbing; ++i) {
+    maybe_auto_gc(acc);
+    switch (op) {
+      case GateOp::And:
+        acc = and_rec(acc, operands[i]);
+        break;
+      case GateOp::Or:
+        acc = or_rec(acc, operands[i]);
+        break;
+      case GateOp::Xor:
+        acc = xor_rec(acc, operands[i]);
+        break;
+    }
+  }
+  if (negate) {
+    // With one operand the only step was identity op x_0, which
+    // allocates nothing: this check could not fire.
+    if (operands.size() != 1) maybe_auto_gc(acc);
+    acc = not_rec(acc);
+  }
+  return acc;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "bdd/bdd.h"
+#include "bdd/bdd_internal.h"
 #include "util/stopwatch.h"
 
 namespace motsim::bdd {

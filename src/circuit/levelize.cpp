@@ -4,31 +4,16 @@
 
 namespace motsim {
 
-EventQueue::EventQueue(const Netlist& netlist) : netlist_(&netlist) {
+EventQueue::EventQueue(const Netlist& netlist) {
   if (!netlist.finalized()) {
     throw std::logic_error("EventQueue requires a finalized netlist");
   }
+  level_.resize(netlist.node_count());
+  for (NodeIndex n = 0; n < netlist.node_count(); ++n) {
+    level_[n] = netlist.level(n);
+  }
   buckets_.resize(netlist.max_level() + 1);
   queued_.assign(netlist.node_count(), 0);
-}
-
-void EventQueue::push(NodeIndex node) {
-  if (queued_[node]) return;
-  queued_[node] = 1;
-  const std::uint32_t level = netlist_->level(node);
-  buckets_[level].push_back(node);
-  ++pending_;
-  if (level < cursor_) cursor_ = level;
-}
-
-NodeIndex EventQueue::pop() {
-  if (pending_ == 0) return kNoNode;
-  while (buckets_[cursor_].empty()) ++cursor_;
-  const NodeIndex node = buckets_[cursor_].back();
-  buckets_[cursor_].pop_back();
-  queued_[node] = 0;
-  --pending_;
-  return node;
 }
 
 void EventQueue::clear() {

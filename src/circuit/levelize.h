@@ -20,10 +20,25 @@ class EventQueue {
   explicit EventQueue(const Netlist& netlist);
 
   /// Schedules `node` for evaluation; duplicates are ignored.
-  void push(NodeIndex node);
+  void push(NodeIndex node) {
+    if (queued_[node]) return;
+    queued_[node] = 1;
+    const std::uint32_t level = level_[node];
+    buckets_[level].push_back(node);
+    ++pending_;
+    if (level < cursor_) cursor_ = level;
+  }
 
   /// Pops the lowest-level pending node; kNoNode when empty.
-  [[nodiscard]] NodeIndex pop();
+  [[nodiscard]] NodeIndex pop() {
+    if (pending_ == 0) return kNoNode;
+    while (buckets_[cursor_].empty()) ++cursor_;
+    const NodeIndex node = buckets_[cursor_].back();
+    buckets_[cursor_].pop_back();
+    queued_[node] = 0;
+    --pending_;
+    return node;
+  }
 
   [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
 
@@ -32,7 +47,7 @@ class EventQueue {
   void clear();
 
  private:
-  const Netlist* netlist_;
+  std::vector<std::uint32_t> level_;  ///< per node, copied from the netlist
   std::vector<std::vector<NodeIndex>> buckets_;  ///< one per level
   std::vector<std::uint8_t> queued_;
   std::size_t pending_ = 0;

@@ -66,6 +66,15 @@ void HybridFaultSim::set_resume(ChunkCheckpoint checkpoint) {
   resume_ = std::move(checkpoint);
 }
 
+void HybridFaultSim::set_circuit(
+    std::shared_ptr<const LevelizedCircuit> circuit) {
+  if (circuit != nullptr && &circuit->netlist() != netlist_) {
+    throw std::invalid_argument(
+        "set_circuit: the circuit was compiled from another netlist");
+  }
+  circuit_ = std::move(circuit);
+}
+
 namespace {
 
 Val3 bdd_to_val3(const Bdd& b) {
@@ -84,9 +93,12 @@ HybridResult HybridFaultSim::run(
   bddc.hard_node_limit = config_.node_limit * config_.hard_limit_factor;
   bdd::BddManager mgr(bddc);
   const StateVars vars(nl.dff_count(), config_.layout);
-  SymTrueValueSim sym(nl, mgr, vars);
+  // One compiled view of the netlist for all three engines.
+  const std::shared_ptr<const LevelizedCircuit> circuit =
+      circuit_ ? circuit_ : std::make_shared<const LevelizedCircuit>(nl);
+  SymTrueValueSim sym(circuit, mgr, vars);
   if (!tied_.empty()) sym.set_tied_constants(tied_);
-  SymFaultPropagator symprop(nl, mgr, vars);
+  SymFaultPropagator symprop(circuit, mgr, vars);
   symprop.set_trim(config_.trim);
   // Static activation horizons for SOT/rMOT parking: once past
   // dead_from with no stored divergence the fault can never be excited
@@ -109,7 +121,7 @@ HybridResult HybridFaultSim::run(
   // pure performance knob (bit-identical results). Runs serially —
   // the parallel symbolic driver shards at the fault level already.
   const std::unique_ptr<FaultSimulator3> sim3 = make_fault_simulator3(
-      config_.sim3_backend, nl, faults_,
+      config_.sim3_backend, circuit, faults_,
       Sim3EngineConfig{/*threads=*/1, telemetry_});
 
   HybridResult result;

@@ -2,6 +2,7 @@
 #define MOTSIM_CORE_HYBRID_SIM_H
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -178,6 +179,14 @@ class HybridFaultSim {
   /// horizons. Ignored when config.sgraph is off.
   void set_sgraph_plan(SgraphPlan plan);
 
+  /// Supplies the compiled view of the netlist that the symbolic and
+  /// three-valued engines of the run read (read-only, so one view may
+  /// serve concurrent runs). Used by the parallel driver to compile
+  /// once per job; without it run() compiles its own. Throws
+  /// std::invalid_argument if the view was compiled from another
+  /// netlist.
+  void set_circuit(std::shared_ptr<const LevelizedCircuit> circuit);
+
   /// Resumes a previous run from a snapshot this engine emitted:
   /// run() starts at frame `ck.frame` in the recorded mode, with
   /// statuses, detection frames and per-fault state divergences
@@ -201,6 +210,7 @@ class HybridFaultSim {
   std::vector<ConstVal> tied_;
   std::optional<TrimPlan> trim_plan_;
   std::optional<SgraphPlan> sgraph_plan_;
+  std::shared_ptr<const LevelizedCircuit> circuit_;
 };
 
 }  // namespace motsim

@@ -229,6 +229,8 @@ HybridResult ParallelSymSim::run(
                 "parallel.shard_seconds",
                 {0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0});
 
+  // One compiled netlist view, read concurrently by every shard.
+  const auto circuit = std::make_shared<const LevelizedCircuit>(*netlist_);
   std::vector<HybridResult> chunk_results(chunk_count);
   std::atomic<std::size_t> next_chunk{0};
   std::mutex progress_mutex;
@@ -261,6 +263,7 @@ HybridResult ParallelSymSim::run(
         ChunkCheckpointAdapter ck_adapter(checkpoint_, &progress_mutex,
                                           live.data() + begin, c);
         if (checkpoint_ != nullptr) sim.set_checkpoint_sink(&ck_adapter);
+        sim.set_circuit(circuit);
         if (telemetry_ != nullptr) sim.set_telemetry(telemetry_);
         if (resume_of[c].has_value()) sim.set_resume(*resume_of[c]);
         if (!tied_.empty()) sim.set_tied_constants(tied_);

@@ -118,6 +118,10 @@ PipelineResult run_pipeline(const Netlist& netlist,
     finish_stage(telemetry, progress, span, "xred", result.seconds_xred);
   }
 
+  // One compiled view of the netlist for the three-valued and the
+  // symbolic stage.
+  const auto circuit = std::make_shared<const LevelizedCircuit>(netlist);
+
   // ---- Stage 2: three-valued simulation ----------------------------------
   {
     std::optional<obs::SpanTracer::Span> span;
@@ -128,7 +132,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
     ec.threads = config.threads;
     ec.telemetry = telemetry;
     const std::unique_ptr<FaultSimulator3> sim =
-        make_fault_simulator3(config.sim3_backend, netlist, faults, ec);
+        make_fault_simulator3(config.sim3_backend, circuit, faults, ec);
     sim->set_initial_status(status);
     const FaultSim3Result r3 = sim->run(sequence);
     result.seconds_3v = timer.elapsed_seconds();
@@ -179,6 +183,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
     HybridResult rs;
     if (config.threads == 1) {
       HybridFaultSim sym(netlist, faults, config.hybrid);
+      sym.set_circuit(circuit);
       sym.set_initial_status(leftover);
       sym.set_progress(progress);
       sym.set_checkpoint_sink(checkpoint);

@@ -83,31 +83,41 @@ const Bdd& SymFrameContext::frame_eq_product(
 SymFaultPropagator::SymFaultPropagator(const Netlist& netlist,
                                        bdd::BddManager& mgr,
                                        const StateVars& vars)
-    : netlist_(&netlist),
+    : SymFaultPropagator(std::make_shared<const LevelizedCircuit>(netlist),
+                         mgr, vars) {}
+
+SymFaultPropagator::SymFaultPropagator(
+    std::shared_ptr<const LevelizedCircuit> circuit, bdd::BddManager& mgr,
+    const StateVars& vars)
+    : circuit_(std::move(circuit)),
+      netlist_(&circuit_->netlist()),
       mgr_(&mgr),
       vars_(vars),
       x2y_(vars.x_to_y_mapping()),
-      scratch_val_(netlist.node_count()),
-      scratch_stamp_(netlist.node_count(), 0),
-      queue_(netlist) {
+      scratch_val_(netlist_->node_count()),
+      scratch_stamp_(netlist_->node_count(), 0),
+      queue_(*netlist_) {
+  const Netlist& netlist = *netlist_;
   mgr.ensure_vars(vars.var_count());
+  std::size_t max_arity = 0;
+  for (const LevGate& g : circuit_->gates()) {
+    max_arity = std::max<std::size_t>(max_arity, g.arity);
+  }
+  operands_.resize(max_arity);
   // Group the flip-flop positions by D-input net (CSR, ascending
   // positions within a group).
-  const std::vector<NodeIndex>& dffs = netlist.dffs();
-  auto d_net = [&](std::uint32_t pos) {
-    return netlist.gate(dffs[pos]).fanins[0];
-  };
+  const std::vector<NodeIndex>& dff_d = circuit_->dff_d();
   latch_begin_.assign(netlist.node_count() + 1, 0);
-  for (std::uint32_t pos = 0; pos < dffs.size(); ++pos) {
-    ++latch_begin_[d_net(pos) + 1];
+  for (std::uint32_t pos = 0; pos < dff_d.size(); ++pos) {
+    ++latch_begin_[dff_d[pos] + 1];
   }
   for (std::size_t n = 0; n < netlist.node_count(); ++n) {
     latch_begin_[n + 1] += latch_begin_[n];
   }
-  latch_pos_.resize(dffs.size());
+  latch_pos_.resize(dff_d.size());
   std::vector<std::uint32_t> fill(latch_begin_.begin(), latch_begin_.end());
-  for (std::uint32_t pos = 0; pos < dffs.size(); ++pos) {
-    latch_pos_[fill[d_net(pos)]++] = pos;
+  for (std::uint32_t pos = 0; pos < dff_d.size(); ++pos) {
+    latch_pos_[fill[dff_d[pos]]++] = pos;
   }
 }
 
@@ -138,7 +148,9 @@ void SymFaultPropagator::propagate(
     const Fault& fault, const Bdd& sv,
     const std::vector<std::pair<std::uint32_t, Bdd>>& state_diff,
     const std::vector<Bdd>& good) {
-  const Netlist& nl = *netlist_;
+  const LevelizedCircuit& lc = *circuit_;
+  const std::vector<LevGate>& gates = lc.gates();
+  const std::vector<std::uint32_t>& gate_of = lc.gate_of();
 
   ++stamp_;
   changed_.clear();
@@ -151,41 +163,48 @@ void SymFaultPropagator::propagate(
     scratch_val_[n] = v;
   };
 
+  // Consumer gates in the netlist's fanout order, which fixes the
+  // evaluation order within a level (flip-flop D-pins are not listed).
   auto enqueue_fanouts = [&](NodeIndex n) {
-    for (const FanoutRef& fo : nl.fanouts(n)) {
-      if (nl.type(fo.node) != GateType::Dff) queue_.push(fo.node);
+    const auto [fo, fe] = lc.fanout_gates(n);
+    for (const std::uint32_t* it = fo; it != fe; ++it) {
+      queue_.push(gates[*it].node);
     }
   };
 
   // Seed 1: diverging present-state bits (the flip-flop nodes carry
   // the *present* state as frame inputs in the good-value vector).
   for (const auto& [pos, v] : state_diff) {
-    const NodeIndex dff = nl.dffs()[pos];
+    const NodeIndex dff = lc.dffs()[pos];
     set_fval(dff, v);
     enqueue_fanouts(dff);
   }
 
-  // Seed 2: the fault site.
+  // Seed 2: the fault site. A branch fault on a flip-flop's D pin
+  // (a node with no compiled gate) acts only when latching.
   const NodeIndex site_node = fault.site.node;
   if (fault.site.is_stem()) {
     const bool diverges = fval(site_node, good) != sv;
     set_fval(site_node, sv);
     if (diverges) enqueue_fanouts(site_node);
-  } else if (nl.type(site_node) != GateType::Dff) {
-    const NodeIndex src = nl.gate(site_node).fanins[fault.site.pin];
+  } else if (gate_of[site_node] != LevelizedCircuit::kNoGate) {
+    const NodeIndex src = lc.fanin(gates[gate_of[site_node]], fault.site.pin);
     if (fval(src, good) != sv) queue_.push(site_node);
   }
 
   // Propagate divergence in level order.
   for (NodeIndex n = queue_.pop(); n != kNoNode; n = queue_.pop()) {
     if (fault.site.is_stem() && n == site_node) continue;  // output pinned
-    const Gate& g = nl.gate(n);
+    const LevGate& g = gates[gate_of[n]];
     const bool branch_here = !fault.site.is_stem() && n == site_node;
+    for (std::size_t i = 0; i < g.arity; ++i) {
+      operands_[i] = branch_here && i == fault.site.pin
+                         ? sv.id()
+                         : fval(lc.fanin(g, i), good).id();
+    }
     const Bdd newv = eval_gate_sym(
-        *mgr_, g.type, g.fanins.size(), [&](std::size_t i) -> const Bdd& {
-          if (branch_here && i == fault.site.pin) return sv;
-          return fval(g.fanins[i], good);
-        });
+        *mgr_, g.op, std::span<const bdd::NodeId>(operands_.data(), g.arity));
+    ++gate_evaluations_;
     if (newv != fval(n, good)) {
       set_fval(n, newv);
       enqueue_fanouts(n);
@@ -294,8 +313,7 @@ void SymFaultPropagator::latch_diffs(
   std::sort(latch_buf_.begin(), latch_buf_.end());
   out.clear();
   for (const std::uint32_t pos : latch_buf_) {
-    const Bdd& fv =
-        pos == pin_pos ? sv : scratch_val_[nl.gate(nl.dffs()[pos]).fanins[0]];
+    const Bdd& fv = pos == pin_pos ? sv : scratch_val_[circuit_->dff_d()[pos]];
     if (fv != good_next[pos]) out.emplace_back(pos, fv);
   }
 }
@@ -474,8 +492,9 @@ SymFaultSimResult SymFaultSim::run(
 
   bdd::BddManager mgr(bdd_config_);
   const StateVars vars(nl.dff_count(), layout_);
-  SymTrueValueSim good(nl, mgr, vars);
-  SymFaultPropagator prop(nl, mgr, vars);
+  const auto circuit = std::make_shared<const LevelizedCircuit>(nl);
+  SymTrueValueSim good(circuit, mgr, vars);
+  SymFaultPropagator prop(circuit, mgr, vars);
   prop.set_trim(trim_);
 
   // Static activation horizons for SOT/rMOT parking: once past
@@ -601,8 +620,9 @@ MultiStrategyResult run_all_strategies(
 
   bdd::BddManager mgr(bdd_config);
   const StateVars vars(nl.dff_count(), layout);
-  SymTrueValueSim good(nl, mgr, vars);
-  SymFaultPropagator prop(nl, mgr, vars);
+  const auto circuit = std::make_shared<const LevelizedCircuit>(nl);
+  SymTrueValueSim good(circuit, mgr, vars);
+  SymFaultPropagator prop(circuit, mgr, vars);
   prop.set_trim(trim);
 
   SgraphPlan splan;

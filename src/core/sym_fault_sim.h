@@ -2,6 +2,7 @@
 #define MOTSIM_CORE_SYM_FAULT_SIM_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "analysis/sgraph.h"
@@ -12,6 +13,7 @@
 #include "core/sym_true_value.h"
 #include "faults/fault.h"
 #include "logic/val3.h"
+#include "sim3/levelized.h"
 
 namespace motsim {
 
@@ -102,6 +104,10 @@ class SymFaultPropagator {
  public:
   SymFaultPropagator(const Netlist& netlist, bdd::BddManager& mgr,
                      const StateVars& vars);
+  /// Same, over a compiled view of the netlist that other engines of
+  /// the job share (the view is read-only).
+  SymFaultPropagator(std::shared_ptr<const LevelizedCircuit> circuit,
+                     bdd::BddManager& mgr, const StateVars& vars);
 
   /// Simulates `fault` through the current frame. Updates
   /// `fs.state_diff` (next-state divergence) and `fs.detect`; returns
@@ -178,6 +184,12 @@ class SymFaultPropagator {
     return sgraph_counters_;
   }
 
+  /// Gates evaluated by the propagation loop so far (the unit of
+  /// bench/bdd_microbench's BM_SymPropagate).
+  [[nodiscard]] std::uint64_t gate_evaluations() const noexcept {
+    return gate_evaluations_;
+  }
+
  private:
   /// True when the trimming pass may skip this fault-frame entirely.
   [[nodiscard]] bool quiescent(
@@ -209,10 +221,12 @@ class SymFaultPropagator {
                    std::vector<std::pair<std::uint32_t, bdd::Bdd>>& out);
   void release_scratch();
 
+  std::shared_ptr<const LevelizedCircuit> circuit_;
   const Netlist* netlist_;
   bdd::BddManager* mgr_;
   StateVars vars_;
   std::vector<bdd::VarIndex> x2y_;
+  std::vector<bdd::NodeId> operands_;  ///< propagate's gate-operand buffer
 
   // Copy-on-write scratch (version stamps), as in FaultSim3.
   std::vector<bdd::Bdd> scratch_val_;
@@ -229,6 +243,7 @@ class SymFaultPropagator {
   bool trim_ = false;
   TrimCounters trim_counters_;
   SgraphCounters sgraph_counters_;
+  std::uint64_t gate_evaluations_ = 0;
 };
 
 /// A concrete certificate of UNdetectability under MOT (Lemma 1's

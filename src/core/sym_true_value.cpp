@@ -1,5 +1,6 @@
 #include "core/sym_true_value.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace motsim {
@@ -27,13 +28,29 @@ std::vector<bdd::VarIndex> StateVars::y_vars() const {
 
 SymTrueValueSim::SymTrueValueSim(const Netlist& netlist, bdd::BddManager& mgr,
                                  const StateVars& vars)
-    : netlist_(&netlist), mgr_(&mgr), vars_(vars) {
-  if (!netlist.finalized()) {
-    throw std::logic_error("SymTrueValueSim requires a finalized netlist");
-  }
+    : SymTrueValueSim(std::make_shared<const LevelizedCircuit>(netlist), mgr,
+                      vars) {}
+
+SymTrueValueSim::SymTrueValueSim(
+    std::shared_ptr<const LevelizedCircuit> circuit, bdd::BddManager& mgr,
+    const StateVars& vars)
+    : circuit_(std::move(circuit)),
+      netlist_(&circuit_->netlist()),
+      mgr_(&mgr),
+      vars_(vars) {
+  const Netlist& netlist = *netlist_;
   if (vars.dff_count() != netlist.dff_count()) {
     throw std::invalid_argument("StateVars plan does not match the netlist");
   }
+  const std::vector<std::uint32_t>& gate_of = circuit_->gate_of();
+  std::size_t max_arity = 0;
+  for (const NodeIndex n : netlist.topo_order()) {
+    if (gate_of[n] == LevelizedCircuit::kNoGate) continue;
+    sweep_.push_back(gate_of[n]);
+    max_arity = std::max<std::size_t>(max_arity,
+                                      circuit_->gates()[gate_of[n]].arity);
+  }
+  operands_.resize(max_arity);
   mgr.ensure_vars(vars.var_count());
   values_.assign(netlist.node_count(), mgr.zero());
   reset_symbolic();
@@ -89,42 +106,44 @@ void SymTrueValueSim::release() {
 }
 
 std::vector<bdd::Bdd> SymTrueValueSim::step(const std::vector<Val3>& inputs) {
-  const Netlist& nl = *netlist_;
-  if (inputs.size() != nl.input_count()) {
+  const LevelizedCircuit& lc = *circuit_;
+  if (inputs.size() != lc.inputs().size()) {
     throw std::invalid_argument("step: wrong input vector width");
   }
 
-  // Frame inputs: binary test-vector values and the symbolic state.
+  // Frame inputs: binary test-vector values, constants and the
+  // symbolic state.
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (!is_binary(inputs[i])) {
       throw std::invalid_argument(
           "symbolic simulation requires fully specified input vectors");
     }
-    values_[nl.inputs()[i]] = mgr_->constant(inputs[i] == Val3::One);
+    values_[lc.inputs()[i]] = mgr_->constant(inputs[i] == Val3::One);
   }
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    values_[nl.dffs()[i]] = state_[i];
+  for (const auto& [n, v] : lc.consts()) {
+    values_[n] = mgr_->constant(v == Val3::One);
+  }
+  for (std::size_t i = 0; i < lc.dffs().size(); ++i) {
+    values_[lc.dffs()[i]] = state_[i];
   }
 
-  for (NodeIndex n : nl.topo_order()) {
-    const Gate& g = nl.gate(n);
-    if (is_frame_input(g.type)) {
-      if (g.type == GateType::Const0) values_[n] = mgr_->zero();
-      if (g.type == GateType::Const1) values_[n] = mgr_->one();
-      continue;
-    }
+  const std::vector<LevGate>& gates = lc.gates();
+  for (const std::uint32_t gi : sweep_) {
+    const LevGate& g = gates[gi];
+    const NodeIndex n = g.node;
     if (!tied_.empty() && tied_[n] != ConstVal::Unknown) {
       values_[n] = mgr_->constant(tied_[n] == ConstVal::One);
       continue;
     }
-    values_[n] = eval_gate_sym(*mgr_, g.type, g.fanins.size(),
-                               [&](std::size_t i) -> const bdd::Bdd& {
-                                 return values_[g.fanins[i]];
-                               });
+    for (std::size_t i = 0; i < g.arity; ++i) {
+      operands_[i] = values_[lc.fanin(g, i)].id();
+    }
+    values_[n] = eval_gate_sym(
+        *mgr_, g.op, std::span<const bdd::NodeId>(operands_.data(), g.arity));
   }
 
-  for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
-    state_[i] = values_[nl.gate(nl.dffs()[i]).fanins[0]];
+  for (std::size_t i = 0; i < lc.dffs().size(); ++i) {
+    state_[i] = values_[lc.dff_d()[i]];
   }
 
   return outputs();

@@ -1,12 +1,17 @@
 #ifndef MOTSIM_CORE_SYM_TRUE_VALUE_H
 #define MOTSIM_CORE_SYM_TRUE_VALUE_H
 
+#include <array>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/static_xred.h"
 #include "bdd/bdd.h"
 #include "circuit/netlist.h"
 #include "logic/val3.h"
+#include "sim3/levelized.h"
 
 namespace motsim {
 
@@ -70,46 +75,53 @@ class StateVars {
   VarLayout layout_ = VarLayout::Interleaved;
 };
 
-/// Evaluates one combinational gate over BDD operands.
-/// `get(i)` must return the i-th operand.
-template <typename Getter>
-[[nodiscard]] bdd::Bdd eval_gate_sym(bdd::BddManager& mgr, GateType type,
-                                     std::size_t arity, Getter get) {
-  using bdd::Bdd;
+/// Evaluates one combinational gate over the operand nodes `ids`, each
+/// the id() of a live handle of `mgr`: one BddManager::apply_gate call
+/// (none when the operands are all constants and no collection is
+/// due), and no manager work at all for a buffer or a constant gate.
+[[nodiscard]] inline bdd::Bdd eval_gate_sym(bdd::BddManager& mgr,
+                                            GateType type,
+                                            std::span<const bdd::NodeId> ids) {
+  using bdd::GateOp;
   switch (type) {
     case GateType::Const0:
       return mgr.zero();
     case GateType::Const1:
       return mgr.one();
     case GateType::Buf:
-      return get(0);
+      return mgr.handle(ids[0]);
     case GateType::Not:
-      return !get(0);
+    case GateType::Nand:
+      return mgr.apply_gate(GateOp::And, true, ids);
     case GateType::And:
-    case GateType::Nand: {
-      Bdd acc = mgr.one();
-      for (std::size_t i = 0; i < arity && !acc.is_zero(); ++i) {
-        acc &= get(i);
-      }
-      return type == GateType::Nand ? !acc : acc;
-    }
+      return mgr.apply_gate(GateOp::And, false, ids);
     case GateType::Or:
-    case GateType::Nor: {
-      Bdd acc = mgr.zero();
-      for (std::size_t i = 0; i < arity && !acc.is_one(); ++i) {
-        acc |= get(i);
-      }
-      return type == GateType::Nor ? !acc : acc;
-    }
+      return mgr.apply_gate(GateOp::Or, false, ids);
+    case GateType::Nor:
+      return mgr.apply_gate(GateOp::Or, true, ids);
     case GateType::Xor:
-    case GateType::Xnor: {
-      Bdd acc = mgr.zero();
-      for (std::size_t i = 0; i < arity; ++i) acc ^= get(i);
-      return type == GateType::Xnor ? !acc : acc;
-    }
+      return mgr.apply_gate(GateOp::Xor, false, ids);
+    case GateType::Xnor:
+      return mgr.apply_gate(GateOp::Xor, true, ids);
     default:
       throw std::logic_error("eval_gate_sym: not a combinational gate");
   }
+}
+
+/// Same, with operand i supplied by `get(i)`, a handle that outlives
+/// the call.
+template <typename Getter>
+[[nodiscard]] bdd::Bdd eval_gate_sym(bdd::BddManager& mgr, GateType type,
+                                     std::size_t arity, Getter get) {
+  std::array<bdd::NodeId, 8> small;
+  std::vector<bdd::NodeId> large;
+  bdd::NodeId* ids = small.data();
+  if (arity > small.size()) {
+    large.resize(arity);
+    ids = large.data();
+  }
+  for (std::size_t i = 0; i < arity; ++i) ids[i] = get(i).id();
+  return eval_gate_sym(mgr, type, std::span<const bdd::NodeId>(ids, arity));
 }
 
 /// Symbolic true-value (fault-free) simulator.
@@ -125,6 +137,10 @@ class SymTrueValueSim {
   /// variable plan (use the same plan for the fault simulator).
   SymTrueValueSim(const Netlist& netlist, bdd::BddManager& mgr,
                   const StateVars& vars);
+  /// Same, over a compiled view of the netlist that other engines of
+  /// the job share (the view is read-only).
+  SymTrueValueSim(std::shared_ptr<const LevelizedCircuit> circuit,
+                  bdd::BddManager& mgr, const StateVars& vars);
 
   /// Resets the present state to fully symbolic (bit i = x_i).
   void reset_symbolic();
@@ -154,7 +170,8 @@ class SymTrueValueSim {
   void set_tied_constants(std::vector<ConstVal> tied);
 
   /// Applies one input vector (binary values only; X throws
-  /// std::invalid_argument) and returns the output functions.
+  /// std::invalid_argument) and returns the output functions. Gates
+  /// are evaluated in the netlist's topo_order().
   std::vector<bdd::Bdd> step(const std::vector<Val3>& inputs);
 
   /// Per-node functions of the most recent frame.
@@ -173,9 +190,13 @@ class SymTrueValueSim {
   [[nodiscard]] const StateVars& vars() const noexcept { return vars_; }
 
  private:
+  std::shared_ptr<const LevelizedCircuit> circuit_;
   const Netlist* netlist_;
   bdd::BddManager* mgr_;
   StateVars vars_;
+  /// Compiled gates (indices into circuit_->gates()) in topo_order().
+  std::vector<std::uint32_t> sweep_;
+  std::vector<bdd::NodeId> operands_;  ///< step's gate-operand buffer
   std::vector<bdd::Bdd> values_;
   std::vector<bdd::Bdd> state_;
   std::vector<ConstVal> tied_;  ///< empty = nothing tied

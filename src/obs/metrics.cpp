@@ -36,6 +36,10 @@ void Histogram::observe(double v) noexcept {
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {
   }
+  double seen = max_.load(std::memory_order_relaxed);
+  while (v > seen &&
+         !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -46,8 +50,23 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
+namespace {
+
+/// An estimate clamped to the largest observation; -infinity (nothing
+/// observed, or unknown) leaves it alone.
+double clamp_to_max(double estimate, double max) {
+  if (max == -std::numeric_limits<double>::infinity()) return estimate;
+  return std::min(estimate, max);
+}
+
+}  // namespace
+
 double Histogram::quantile(double q) const {
-  return histogram_quantile(bounds_, bucket_counts(), q);
+  return clamp_to_max(histogram_quantile(bounds_, bucket_counts(), q), max());
+}
+
+double HistogramSnapshot::quantile(double q) const {
+  return clamp_to_max(histogram_quantile(bounds, buckets, q), max);
 }
 
 double histogram_quantile(const std::vector<double>& bounds,
@@ -143,6 +162,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     hs.buckets = h->bucket_counts();
     hs.count = h->count();
     hs.sum = h->sum();
+    hs.max = h->max();
     s.histograms.push_back(std::move(hs));
   }
   return s;

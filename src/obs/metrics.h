@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -98,9 +99,14 @@ class Histogram {
   [[nodiscard]] double sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
   }
+  /// Largest observed value; -infinity before the first observation.
+  [[nodiscard]] double max() const noexcept {
+    return max_.load(std::memory_order_relaxed);
+  }
 
   /// Estimated q-quantile (0 <= q <= 1) of the observed values — see
-  /// histogram_quantile() for the estimation contract.
+  /// histogram_quantile() for the estimation contract — clamped to
+  /// max(), so an estimate never exceeds what was observed.
   [[nodiscard]] double quantile(double q) const;
 
  private:
@@ -108,6 +114,7 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Estimated q-quantile (0 <= q <= 1) of a bucketed distribution:
@@ -141,11 +148,12 @@ struct HistogramSnapshot {
   std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1, last = +inf
   std::uint64_t count = 0;
   double sum = 0;
+  /// Largest observed value; -infinity when unknown (no clamping).
+  double max = -std::numeric_limits<double>::infinity();
 
-  /// histogram_quantile() over this snapshot's buckets.
-  [[nodiscard]] double quantile(double q) const {
-    return histogram_quantile(bounds, buckets, q);
-  }
+  /// histogram_quantile() over this snapshot's buckets, clamped to
+  /// `max` like Histogram::quantile.
+  [[nodiscard]] double quantile(double q) const;
 };
 
 /// Point-in-time copy of every registered instrument, ordered by name.

@@ -38,8 +38,14 @@ BitParFaultSim3::Scratch::Scratch(const LevelizedCircuit& lc)
 BitParFaultSim3::BitParFaultSim3(const Netlist& netlist,
                                  std::vector<Fault> faults,
                                  std::size_t threads)
+    : BitParFaultSim3(std::make_shared<const LevelizedCircuit>(netlist),
+                      std::move(faults), threads) {}
+
+BitParFaultSim3::BitParFaultSim3(
+    std::shared_ptr<const LevelizedCircuit> circuit, std::vector<Fault> faults,
+    std::size_t threads)
     : FaultSimulator3(std::move(faults)),
-      lc_(std::make_shared<const LevelizedCircuit>(netlist)),
+      lc_(std::move(circuit)),
       threads_(threads == 0 ? ThreadPool::default_thread_count() : threads),
       good_(lc_) {}
 

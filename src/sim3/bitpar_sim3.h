@@ -46,6 +46,9 @@ class BitParFaultSim3 final : public FaultSimulator3 {
   /// concurrency, 1 = serial (no pool).
   BitParFaultSim3(const Netlist& netlist, std::vector<Fault> faults,
                   std::size_t threads = 1);
+  /// Same, over a compiled circuit other engines of the job share.
+  BitParFaultSim3(std::shared_ptr<const LevelizedCircuit> circuit,
+                  std::vector<Fault> faults, std::size_t threads = 1);
 
   [[nodiscard]] Sim3Backend backend() const noexcept override {
     return Sim3Backend::BitPar;

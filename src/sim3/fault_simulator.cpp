@@ -52,13 +52,22 @@ void FaultSimulator3::set_initial_status(std::vector<FaultStatus> status) {
 std::unique_ptr<FaultSimulator3> make_fault_simulator3(
     Sim3Backend backend, const Netlist& netlist, std::vector<Fault> faults,
     const Sim3EngineConfig& config) {
+  return make_fault_simulator3(
+      backend, std::make_shared<const LevelizedCircuit>(netlist),
+      std::move(faults), config);
+}
+
+std::unique_ptr<FaultSimulator3> make_fault_simulator3(
+    Sim3Backend backend, std::shared_ptr<const LevelizedCircuit> circuit,
+    std::vector<Fault> faults, const Sim3EngineConfig& config) {
   std::unique_ptr<FaultSimulator3> sim;
   switch (backend) {
     case Sim3Backend::Event:
-      sim = std::make_unique<FaultSim3>(netlist, std::move(faults));
+      sim = std::make_unique<FaultSim3>(circuit->netlist(), std::move(faults));
       break;
     case Sim3Backend::BitPar:
-      sim = std::make_unique<BitParFaultSim3>(netlist, std::move(faults),
+      sim = std::make_unique<BitParFaultSim3>(std::move(circuit),
+                                              std::move(faults),
                                               config.threads);
       break;
     default:

@@ -16,6 +16,8 @@ namespace obs {
 struct Telemetry;  // obs/telemetry.h
 }
 
+class LevelizedCircuit;  // sim3/levelized.h
+
 /// Sparse divergence of a faulty machine's present state from the
 /// fault-free state: (flip-flop position, faulty value). Entries
 /// always differ from the fault-free value.
@@ -168,6 +170,13 @@ struct Sim3EngineConfig {
 [[nodiscard]] std::unique_ptr<FaultSimulator3> make_fault_simulator3(
     Sim3Backend backend, const Netlist& netlist, std::vector<Fault> faults,
     const Sim3EngineConfig& config = {});
+
+/// Same, over a compiled circuit shared with other engines of the job:
+/// the bit-parallel backend simulates on it instead of compiling its
+/// own; the event backend reads its netlist.
+[[nodiscard]] std::unique_ptr<FaultSimulator3> make_fault_simulator3(
+    Sim3Backend backend, std::shared_ptr<const LevelizedCircuit> circuit,
+    std::vector<Fault> faults, const Sim3EngineConfig& config = {});
 
 }  // namespace motsim
 

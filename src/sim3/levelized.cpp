@@ -119,13 +119,16 @@ LevelizedCircuit::LevelizedCircuit(const Netlist& netlist)
   for (std::size_t n = 1; n < fanout_offsets_.size(); ++n) {
     fanout_offsets_[n] += fanout_offsets_[n - 1];
   }
+  // Filled in consumer-node order, so every range matches the
+  // netlist's fanout order.
   fanout_gates_.resize(edge_count);
   std::vector<std::uint32_t> cursor(fanout_offsets_.begin(),
                                     fanout_offsets_.end() - 1);
-  for (std::size_t i = 0; i < gates_.size(); ++i) {
-    for_each_fanin(gates_[i], [&](NodeIndex f) {
-      fanout_gates_[cursor[f]++] = static_cast<std::uint32_t>(i);
-    });
+  for (NodeIndex n = 0; n < netlist.node_count(); ++n) {
+    const std::uint32_t i = gate_of_[n];
+    if (i == kNoGate) continue;
+    for_each_fanin(gates_[i],
+                   [&](NodeIndex f) { fanout_gates_[cursor[f]++] = i; });
   }
 }
 

@@ -65,6 +65,11 @@ class LevelizedCircuit {
   [[nodiscard]] const std::vector<NodeIndex>& fanins() const noexcept {
     return fanins_;
   }
+  /// Fanin `i` (< g.arity) of gate `g`, in the netlist's pin order.
+  [[nodiscard]] NodeIndex fanin(const LevGate& g, std::size_t i) const {
+    if (g.arity > 2) return fanins_[g.in0 + i];
+    return i == 0 ? g.in0 : g.in1;
+  }
 
   /// Combinational depth: the deepest gate level (frame inputs are
   /// level 0 and are not compiled).
@@ -108,10 +113,12 @@ class LevelizedCircuit {
   }
 
   /// Consumer gates of node n (indices into gates()), as a flat CSR
-  /// range. Flip-flop D-pins are not listed — latching is a separate
-  /// phase, not a schedulable gate. This is what lets the bit-parallel
-  /// engine propagate only through the fault-effect cone instead of
-  /// sweeping every gate.
+  /// range in Netlist::fanouts() order (consumer node, then pin); a
+  /// gate reading n on two pins is listed twice. Flip-flop D-pins are
+  /// not listed — latching is a separate phase, not a schedulable
+  /// gate. This is what lets the bit-parallel engine propagate only
+  /// through the fault-effect cone instead of sweeping every gate, and
+  /// the symbolic propagator schedule events in the netlist's order.
   [[nodiscard]] std::pair<const std::uint32_t*, const std::uint32_t*>
   fanout_gates(NodeIndex n) const noexcept {
     return {fanout_gates_.data() + fanout_offsets_[n],

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "core/hybrid_sim.h"
 #include "core/sym_fault_sim.h"
 #include "faults/collapse.h"
+#include "obs/telemetry.h"
 #include "reference.h"
 #include "tpg/sequences.h"
 #include "util/rng.h"
@@ -195,6 +198,91 @@ TEST(Hybrid, ThreeValuedWindowStillDropsFaults) {
   const auto r = sim.run(seq);
   EXPECT_TRUE(r.used_fallback);
   EXPECT_GT(r.detected_count, 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Operation-sequence pins: the BDD operations a hybrid MOT run performs
+// (and with them its GC timing, space-limit checks and fallback
+// windows) are fixed. The constants were recorded from the engine
+// before gate evaluation moved onto BddManager::apply_gate; any change
+// to the order, number or rooting of BDD operations shows up here.
+// ---------------------------------------------------------------------------
+
+struct OpCounts {
+  std::size_t fallback_windows = 0;
+  std::size_t symbolic_frames = 0;
+  std::size_t detected = 0;
+  std::uint64_t nodes_created = 0;
+  std::uint64_t unique_hits = 0;
+  std::uint64_t cache_lookups = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t gc_runs = 0;
+  std::uint64_t gc_reclaimed_nodes = 0;
+  std::uint64_t peak_live_nodes = 0;
+};
+
+OpCounts run_counted(const char* circuit, const HybridConfig& cfg,
+                     std::size_t vectors, std::uint64_t seed) {
+  const Netlist nl = make_benchmark(circuit);
+  const CollapsedFaultList c(nl);
+  Rng rng(seed);
+  const TestSequence seq = random_sequence(nl, vectors, rng);
+  obs::Telemetry telemetry;
+  HybridFaultSim sim(nl, c.faults(), cfg);
+  sim.set_telemetry(&telemetry);
+  const HybridResult r = sim.run(seq);
+  obs::MetricsRegistry& m = telemetry.metrics;
+  OpCounts out;
+  out.fallback_windows = r.fallback_windows;
+  out.symbolic_frames = r.symbolic_frames;
+  out.detected = r.detected_count;
+  out.nodes_created = m.counter("bdd.nodes_created").value();
+  out.unique_hits = m.counter("bdd.unique_hits").value();
+  out.cache_lookups = m.counter("bdd.apply_cache_lookups").value();
+  out.cache_hits = m.counter("bdd.apply_cache_hits").value();
+  out.gc_runs = m.counter("bdd.gc_runs").value();
+  out.gc_reclaimed_nodes = m.counter("bdd.gc_reclaimed_nodes").value();
+  out.peak_live_nodes =
+      static_cast<std::uint64_t>(m.gauge("bdd.peak_live_nodes").value());
+  return out;
+}
+
+TEST(HybridOpSequence, FallbackWindowsAndCountersArePinned) {
+  HybridConfig cfg;
+  cfg.strategy = Strategy::Mot;
+  cfg.node_limit = 2000;
+  const OpCounts got = run_counted("s526", cfg, 120, 526);
+  EXPECT_EQ(got.fallback_windows, 14u);
+  EXPECT_EQ(got.symbolic_frames, 10u);
+  EXPECT_EQ(got.detected, 217u);
+  EXPECT_EQ(got.nodes_created, 164627u);
+  EXPECT_EQ(got.unique_hits, 76917u);
+  EXPECT_EQ(got.cache_lookups, 388183u);
+  EXPECT_EQ(got.cache_hits, 130660u);
+  EXPECT_EQ(got.gc_runs, 24u);
+  EXPECT_EQ(got.gc_reclaimed_nodes, 163226u);
+  EXPECT_EQ(got.peak_live_nodes, 15998u);
+}
+
+TEST(HybridOpSequence, MidFrameCollectionsArePinned) {
+  HybridConfig cfg;
+  cfg.strategy = Strategy::Mot;
+  cfg.bdd.auto_gc_floor = 256;
+  const OpCounts got = run_counted("s953", cfg, 60, 953);
+  // More collections than symbolic frames: automatic GC fired inside
+  // frames.
+  EXPECT_GT(got.gc_runs, got.symbolic_frames);
+  EXPECT_EQ(got.fallback_windows, 6u);
+  EXPECT_EQ(got.symbolic_frames, 13u);
+  EXPECT_EQ(got.detected, 82u);
+  EXPECT_EQ(got.nodes_created, 903136u);
+  EXPECT_EQ(got.unique_hits, 812359u);
+  EXPECT_EQ(got.cache_lookups, 2571203u);
+  EXPECT_EQ(got.cache_hits, 840279u);
+  EXPECT_EQ(got.gc_runs, 114u);
+  EXPECT_EQ(got.gc_reclaimed_nodes, 902616u);
+  EXPECT_EQ(got.peak_live_nodes, 107859u);
 }
 
 }  // namespace

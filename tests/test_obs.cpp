@@ -266,7 +266,7 @@ TEST(HistogramQuantile, InterpolatesLinearlyInsideTheBucket) {
   // fraction q of that bucket, so p50 = 1.5 under linear
   // interpolation; p90 = 1.9.
   obs::Histogram h({1.0, 2.0, 5.0});
-  for (int i = 0; i < 100; ++i) h.observe(1.5);
+  for (int i = 1; i <= 100; ++i) h.observe(1.0 + i / 100.0);
   EXPECT_NEAR(h.quantile(0.50), 1.5, 1e-9);
   EXPECT_NEAR(h.quantile(0.90), 1.9, 1e-9);
 }
@@ -287,6 +287,40 @@ TEST(HistogramQuantile, OverflowClampsToHighestFiniteBound) {
   for (int i = 0; i < 10; ++i) h.observe(100.0);  // all overflow
   EXPECT_NEAR(h.quantile(0.5), 2.0, 1e-9);
   EXPECT_NEAR(h.quantile(0.99), 2.0, 1e-9);
+}
+
+TEST(HistogramQuantile, NeverExceedsTheLargestObservation) {
+  // Interpolation inside (0, 10] would put p99 of three 1.0
+  // observations at 9.9; nothing above 1.0 was ever observed.
+  obs::Histogram h({10.0});
+  for (int i = 0; i < 3; ++i) h.observe(1.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 1.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.50), 1.0);
+  EXPECT_LE(h.quantile(0.10), 1.0);
+  obs::MetricsRegistry reg;
+  reg.histogram("clamp.test", {10.0}).observe(1.0);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].max, 1.0);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].quantile(0.99), 1.0);
+}
+
+TEST(HistogramQuantile, OverflowBucketStaysWithinObservations) {
+  // Overflow observations report the highest finite bound, which lies
+  // below every one of them; the clamp must not lift it.
+  obs::Histogram h({1.0, 2.0});
+  h.observe(2.5);
+  h.observe(7.0);
+  EXPECT_DOUBLE_EQ(h.max(), 7.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 2.0);
+  // One value just past the last bound: the estimate (2.0) is still
+  // below the maximum (2.25).
+  obs::Histogram g({1.0, 2.0});
+  g.observe(0.5);
+  g.observe(2.25);
+  EXPECT_DOUBLE_EQ(g.quantile(1.0), 2.0);
+  EXPECT_LE(g.quantile(0.75), g.max());
 }
 
 TEST(HistogramQuantile, EmptyAndClampedInputs) {

@@ -12,7 +12,10 @@ build="$repo/build-tsan"
 
 cmake -S "$repo" -B "$build" -DMOTSIM_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build" -j \
+# A bounded job count: a bare -j starts every compile at once, which
+# under TSan instrumentation can exhaust a small machine's memory.
+jobs="$(nproc 2>/dev/null || echo 2)"
+cmake --build "$build" -j "$jobs" \
   --target test_parallel_sym test_options test_pipeline test_hybrid \
   test_sgraph test_obs test_serve
 
