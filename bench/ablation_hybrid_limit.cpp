@@ -41,7 +41,7 @@ int main() {
     std::printf("circuit %s (%zu faults, %zu vectors):\n", name,
                 faults.size(), seq.size());
     TablePrinter table({"limit", "rMOT", "rMOT wins", "MOT", "MOT t[s]",
-                        "fallbacks", "3v frames"});
+                        "fallbacks", "3v frames", "binary frames"});
     for (std::size_t limit : limits) {
       HybridConfig rcfg;
       rcfg.strategy = Strategy::Rmot;
@@ -62,7 +62,8 @@ int main() {
                      std::to_string(rm.detected_count),
                      format_fixed(timer.elapsed_seconds(), 3),
                      std::to_string(rm.fallback_windows),
-                     std::to_string(rm.three_valued_frames)});
+                     std::to_string(rm.three_valued_frames),
+                     std::to_string(rm.binary_frames)});
     }
     table.print(std::cout);
     std::printf("\n");

@@ -31,8 +31,9 @@ int main() {
               "faults, %zu test vectors\n\n",
               nl.name().c_str(), nl.gate_count(), nl.dff_count(),
               faults.size(), seq.size());
-  std::printf("%10s %9s %9s %8s %8s %10s %9s\n", "node-limit", "detected",
-              "fallbacks", "sym-frm", "3v-frm", "peak-nodes", "time[s]");
+  std::printf("%10s %9s %9s %8s %8s %8s %10s %9s\n", "node-limit",
+              "detected", "fallbacks", "sym-frm", "3v-frm", "bin-frm",
+              "peak-nodes", "time[s]");
 
   for (std::size_t limit : {200u, 1000u, 5000u, 30000u, 200000u}) {
     // The flat SimOptions surface; validate() catches nonsense before
@@ -49,9 +50,9 @@ int main() {
     HybridFaultSim sim(nl, faults.faults(), checked->to_hybrid_config());
     Stopwatch timer;
     const HybridResult r = sim.run(seq);
-    std::printf("%10zu %9zu %9zu %8zu %8zu %10zu %9.3f%s\n", limit,
+    std::printf("%10zu %9zu %9zu %8zu %8zu %8zu %10zu %9.3f%s\n", limit,
                 r.detected_count, r.fallback_windows, r.symbolic_frames,
-                r.three_valued_frames, r.peak_live_nodes,
+                r.three_valued_frames, r.binary_frames, r.peak_live_nodes,
                 timer.elapsed_seconds(), r.used_fallback ? "  *" : "");
   }
 

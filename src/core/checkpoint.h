@@ -22,7 +22,9 @@ namespace motsim {
 /// with fresh state variables and restarts every detection function at
 /// constant 1, exactly the paper's re-entry after a fallback window.
 /// Soundness carries over: the represented state sets only ever grow,
-/// so a resumed run never claims a false detection.
+/// so a resumed run never claims a false detection. After the settled
+/// hand-off (docs/CHECKPOINT.md) the three-valued engine's state is
+/// exact, and its records are symbolic-mode records (in_window false).
 ///
 /// `fault_index`, `status`, `detect_frame` and `diff` are aligned, one
 /// entry per fault of the chunk. `fault_index` holds indices into the

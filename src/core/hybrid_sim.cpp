@@ -1,5 +1,6 @@
 #include "core/hybrid_sim.h"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -144,7 +145,9 @@ HybridResult HybridFaultSim::run(
     }
   }
 
-  enum class Mode { Symbolic, ThreeValued };
+  /// Binary: the settled hand-off — the three-valued engine runs the
+  /// rest of the sequence exactly and symbolic mode never resumes.
+  enum class Mode { Symbolic, ThreeValued, Binary };
   Mode mode = Mode::Symbolic;
   std::size_t window_left = 0;
   std::size_t t = 0;  ///< index of the next frame to simulate
@@ -160,15 +163,40 @@ HybridResult HybridFaultSim::run(
   }
   const std::size_t start_frame = t;
   const FaultStatus det = detected_status(config_.strategy);
+  // First frame from which every input vector is binary and well
+  // formed. The hand-off is exact only without a later X input, and a
+  // later malformed vector must still reach SymTrueValueSim::step,
+  // which rejects it.
+  std::size_t binary_from = sequence.size();
+  while (binary_from > 0) {
+    const std::vector<Val3>& v = sequence[binary_from - 1];
+    if (v.size() != nl.input_count() ||
+        !std::all_of(v.begin(), v.end(), is_binary)) {
+      break;
+    }
+    --binary_from;
+  }
 
   // Telemetry locals (all dormant when telemetry_ == nullptr): mode
-  // timers accumulate symbolic vs. three-valued wall seconds across
-  // the run's interleaved stretches; mode_span is the currently open
-  // "symbolic" / "fallback_window" trace span.
+  // timers accumulate symbolic, fallback-window and binary-mode wall
+  // seconds across the run's interleaved stretches; mode_span is the
+  // currently open "symbolic" / "fallback_window" / "binary" trace
+  // span.
   AccumulatingTimer sym_timer;
   AccumulatingTimer fb_timer;
+  AccumulatingTimer bin_timer;
   std::uint64_t reseeded_bits = 0;
   std::optional<obs::SpanTracer::Span> mode_span;
+  auto timer_of = [&](Mode m) -> AccumulatingTimer& {
+    return m == Mode::Symbolic ? sym_timer
+           : m == Mode::Binary ? bin_timer
+                               : fb_timer;
+  };
+  auto span_name = [](Mode m) {
+    return m == Mode::Symbolic ? "symbolic"
+           : m == Mode::Binary ? "binary"
+                               : "fallback_window";
+  };
 
   // Converts one fault's symbolic state divergence into a three-valued
   // divergence against the given three-valued good state. Symbolic
@@ -185,13 +213,23 @@ HybridResult HybridFaultSim::run(
     }
     return d3;
   };
+  // Every live fault's divergence against `good_state3`, aligned with
+  // `live`.
+  auto diffs_to_3v = [&](const std::vector<Val3>& good_state3) {
+    std::vector<StateDiff3> diffs3;
+    diffs3.reserve(live.size());
+    for (const Live& lf : live) {
+      diffs3.push_back(diff_to_3v(lf.sym, good_state3));
+    }
+    return diffs3;
+  };
 
-  // Opens an engine window session over the surviving faults. During
-  // a window `live` is frozen (no compaction): window position i is
-  // live[i], the engine tracks which positions were dropped, and the
-  // survivors are harvested when the window closes.
-  auto enter_three_valued = [&](const std::vector<Val3>& good_state3,
-                                std::vector<StateDiff3> diffs3) {
+  // Opens an engine session over the surviving faults. During a
+  // session `live` is frozen (no compaction): session position i is
+  // live[i], the engine tracks which positions were dropped, and a
+  // fallback window harvests the survivors when it closes.
+  auto begin_session = [&](const std::vector<Val3>& good_state3,
+                           std::vector<StateDiff3> diffs3) {
     std::vector<std::size_t> indices;
     indices.reserve(live.size());
     for (Live& lf : live) {
@@ -200,8 +238,13 @@ HybridResult HybridFaultSim::run(
       lf.sym.state_diff.clear();
       lf.sym.detect = Bdd();
     }
-    const std::size_t nodes_at_entry = mgr.live_node_count();
     sim3->begin_window(good_state3, std::move(indices), std::move(diffs3));
+  };
+
+  auto enter_three_valued = [&](const std::vector<Val3>& good_state3,
+                                std::vector<StateDiff3> diffs3) {
+    begin_session(good_state3, std::move(diffs3));
+    const std::size_t nodes_at_entry = mgr.live_node_count();
     sym.release();
     mgr.gc();
     mode = Mode::ThreeValued;
@@ -217,6 +260,39 @@ HybridResult HybridFaultSim::run(
     // Both entry paths leave `t` pointing at the first frame the
     // window will simulate, so t + 1 is its 1-based number.
     if (progress_) progress_->on_fallback_window(t + 1, config_.fallback_frames);
+  };
+
+  // True when the symbolic machine holds only constants: every
+  // fault-free present-state function and every stored faulty
+  // divergence. With binary inputs, every later value of both machines
+  // is then a constant too.
+  auto settled = [&] {
+    for (const Bdd& b : sym.state()) {
+      if (!b.is_const()) return false;
+    }
+    for (const Live& lf : live) {
+      for (const auto& entry : lf.sym.state_diff) {
+        if (!entry.second.is_const()) return false;
+      }
+    }
+    return true;
+  };
+
+  // The settled hand-off: the three-valued engine finishes the
+  // sequence. Its rule — an output with opposite binary values — is
+  // what every strategy's detection function reduces to once all
+  // values are constant, so verdicts and detection frames are those
+  // symbolic mode would produce. No BDD work follows, so no node is
+  // created and no space limit can trip; the handles are released
+  // without a collection.
+  auto enter_binary = [&] {
+    const std::vector<Val3> state3 = sym.state_as_val3();
+    begin_session(state3, diffs_to_3v(state3));
+    sym.release();
+    mode = Mode::Binary;
+    obs::log_event(telemetry_, obs::LogLevel::Debug, "hybrid.binary.enter",
+                   {obs::LogField::u64("frame", t + 1),
+                    obs::LogField::u64("live_faults", live.size())});
   };
 
   // Seeds the symbolic machine from a three-valued snapshot (paper
@@ -281,9 +357,12 @@ HybridResult HybridFaultSim::run(
                     obs::LogField::u64("live_nodes", mgr.live_node_count())});
   };
 
-  // Builds the current boundary snapshot. In a three-valued window the
+  // Builds the current boundary snapshot. In an engine session the
   // state is already in snapshot form; in symbolic mode the machine is
-  // converted (the caller then decides whether to also re-seed).
+  // converted (the caller then decides whether to also re-seed). A
+  // binary-mode record equals the symbolic-mode record of the same
+  // frame: the conversion of a settled machine is exact, and it is not
+  // a window.
   auto make_checkpoint = [&](bool complete) {
     ChunkCheckpoint ck;
     ck.frame = t;
@@ -293,9 +372,9 @@ HybridResult HybridFaultSim::run(
     ck.status = result.status;
     ck.detect_frame = result.detect_frame;
     ck.diff.resize(faults_.size());
-    if (mode == Mode::ThreeValued) {
-      ck.in_window = true;
-      ck.window_left = window_left;
+    if (mode != Mode::Symbolic) {
+      ck.in_window = mode == Mode::ThreeValued;
+      ck.window_left = ck.in_window ? window_left : 0;
       ck.good_state = sim3->window_state();
       for (std::uint32_t pos = 0; pos < live.size(); ++pos) {
         if (sim3->window_fault_alive(pos)) {
@@ -311,10 +390,11 @@ HybridResult HybridFaultSim::run(
     return ck;
   };
 
-  // Surviving faults: during a window `live` is frozen and the engine
-  // tracks drops, so the engine's count is authoritative there.
+  // Surviving faults: during an engine session `live` is frozen and
+  // the engine tracks drops, so the engine's count is authoritative
+  // there.
   auto live_count = [&] {
-    return mode == Mode::ThreeValued ? sim3->window_live() : live.size();
+    return mode == Mode::Symbolic ? live.size() : sim3->window_live();
   };
 
   const std::size_t interval = config_.checkpoint_interval;
@@ -351,8 +431,7 @@ HybridResult HybridFaultSim::run(
   }
 
   if (telemetry_ != nullptr && t < sequence.size() && live_count() != 0) {
-    mode_span = telemetry_->tracer.span(
-        mode == Mode::Symbolic ? "symbolic" : "fallback_window");
+    mode_span = telemetry_->tracer.span(span_name(mode));
   }
   // Resolved once: the per-frame gauge update must not pay the
   // registry's map lookup inside the hot loop.
@@ -362,19 +441,13 @@ HybridResult HybridFaultSim::run(
 
   while (t < sequence.size() && live_count() != 0) {
     const Mode frame_mode = mode;
-    if (telemetry_ != nullptr) {
-      (frame_mode == Mode::Symbolic ? sym_timer : fb_timer).start();
-    }
+    if (telemetry_ != nullptr) timer_of(frame_mode).start();
     if (mode == Mode::Symbolic) {
       // Snapshot the pre-frame machine in three-valued form so an
       // aborted frame (hard-limit overflow) can be redone in the
       // three-valued mode.
       const std::vector<Val3> pre_state3 = sym.state_as_val3();
-      std::vector<StateDiff3> pre_diffs3;
-      pre_diffs3.reserve(live.size());
-      for (const Live& lf : live) {
-        pre_diffs3.push_back(diff_to_3v(lf.sym, pre_state3));
-      }
+      std::vector<StateDiff3> pre_diffs3 = diffs_to_3v(pre_state3);
 
       bool frame_completed = false;
       std::uint64_t parked_skips = 0;  ///< committed only if t completes
@@ -442,12 +515,10 @@ HybridResult HybridFaultSim::run(
         if (mgr.live_node_count() > config_.node_limit && t < sequence.size()) {
           // Soft limit: leave symbolic mode at the frame boundary.
           const std::vector<Val3> post_state3 = sym.state_as_val3();
-          std::vector<StateDiff3> diffs3;
-          diffs3.reserve(live.size());
-          for (const Live& lf : live) {
-            diffs3.push_back(diff_to_3v(lf.sym, post_state3));
-          }
-          enter_three_valued(post_state3, std::move(diffs3));
+          enter_three_valued(post_state3, diffs_to_3v(post_state3));
+        } else if (t >= binary_from && t < sequence.size() && !live.empty() &&
+                   settled()) {
+          enter_binary();
         }
       } catch (const bdd::BddOverflow&) {
         // Hard limit mid-frame: discard the frame's partial symbolic
@@ -495,8 +566,9 @@ HybridResult HybridFaultSim::run(
                           obs::LogField::u64("live_nodes",
                                              mgr.live_node_count())});
         } else if (checkpoint_) {
-          // The soft limit just opened a window: snapshot its entry
-          // state without disturbing it.
+          // The soft limit just opened a window, or the machine
+          // settled: snapshot the session's entry state without
+          // disturbing it (a settled boundary re-seeds nothing).
           checkpoint_->on_checkpoint(make_checkpoint(false));
         }
       }
@@ -514,24 +586,27 @@ HybridResult HybridFaultSim::run(
         }
       }
 
-      ++result.three_valued_frames;
       ++t;
-      --window_left;
+      if (mode == Mode::Binary) {
+        ++result.binary_frames;
+      } else {
+        ++result.three_valued_frames;
+        --window_left;
+      }
       if (progress_) progress_->on_frame(t, 0, sim3->window_live());
       if (checkpoint_ && at_boundary()) {
         checkpoint_->on_checkpoint(make_checkpoint(false));
       }
-      if (window_left == 0 && t < sequence.size() &&
-          sim3->window_live() != 0) {
+      if (mode == Mode::ThreeValued && window_left == 0 &&
+          t < sequence.size() && sim3->window_live() != 0) {
         resume_symbolic();
       }
     }
     if (telemetry_ != nullptr) {
-      (frame_mode == Mode::Symbolic ? sym_timer : fb_timer).stop();
+      timer_of(frame_mode).stop();
       if (mode != frame_mode) {
         mode_span.reset();  // closes the stretch that just ended
-        mode_span = telemetry_->tracer.span(
-            mode == Mode::Symbolic ? "symbolic" : "fallback_window");
+        mode_span = telemetry_->tracer.span(span_name(mode));
       }
     }
   }
@@ -558,6 +633,7 @@ HybridResult HybridFaultSim::run(
     obs::MetricsRegistry& m = telemetry_->metrics;
     m.counter("hybrid.symbolic_frames").add(result.symbolic_frames);
     m.counter("hybrid.three_valued_frames").add(result.three_valued_frames);
+    m.counter("hybrid.binary_frames").add(result.binary_frames);
     m.counter("hybrid.fallback_windows").add(result.fallback_windows);
     m.counter("hybrid.checkpoint_syncs").add(result.checkpoint_syncs);
     m.counter("hybrid.detected_faults").add(result.detected_count);
@@ -568,7 +644,11 @@ HybridResult HybridFaultSim::run(
     m.counter("analysis.mot_downgrades").add(result.mot_downgrades);
     m.counter("sym.faultfree_evals_shared")
         .add(result.faultfree_evals_shared);
-    m.gauge("hybrid.symbolic_seconds").add(sym_timer.total_seconds());
+    // The settled hand-off finishes symbolic-mode work, so its time
+    // stays inside symbolic_seconds; binary_seconds reports its share.
+    m.gauge("hybrid.symbolic_seconds")
+        .add(sym_timer.total_seconds() + bin_timer.total_seconds());
+    m.gauge("hybrid.binary_seconds").add(bin_timer.total_seconds());
     m.gauge("hybrid.fallback_seconds").add(fb_timer.total_seconds());
 
     const bdd::BddStats& bs = mgr.stats();

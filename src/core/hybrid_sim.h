@@ -98,6 +98,12 @@ struct HybridResult {
   std::size_t fallback_windows = 0;
   std::size_t symbolic_frames = 0;
   std::size_t three_valued_frames = 0;
+  /// Frames simulated after the settled hand-off: once every fault-free
+  /// state bit and every faulty state divergence is a constant and no
+  /// X input vector remains, the rest of the sequence runs on the
+  /// three-valued engine, where it is exact (not a fallback window).
+  /// Every simulated frame counts in exactly one of the three modes.
+  std::size_t binary_frames = 0;
   std::size_t peak_live_nodes = 0;
   /// Checkpoint synchronizations performed (symbolic-mode re-seeds at
   /// checkpoint boundaries; window-mode checkpoints do not sync).
@@ -126,7 +132,12 @@ struct HybridResult {
 /// unknown state bits are re-seeded with state variables and every
 /// detection function D̃ restarts at constant 1. All claims made in
 /// fallback and after resumption remain sound — the represented state
-/// sets only ever grow.
+/// sets only ever grow. Conversely, once the symbolic machine settles
+/// (no state function of either machine depends on a state variable)
+/// and only binary input vectors remain, three-valued simulation is
+/// exact, so the run hands every live fault to the three-valued engine
+/// for the rest of the sequence with unchanged verdicts and detection
+/// frames (docs/ALGORITHMS.md).
 class HybridFaultSim {
  public:
   HybridFaultSim(const Netlist& netlist, std::vector<Fault> faults,

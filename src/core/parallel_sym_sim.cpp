@@ -342,6 +342,7 @@ HybridResult ParallelSymSim::run(
     merged.fallback_windows += r.fallback_windows;
     merged.symbolic_frames += r.symbolic_frames;
     merged.three_valued_frames += r.three_valued_frames;
+    merged.binary_frames += r.binary_frames;
     merged.checkpoint_syncs += r.checkpoint_syncs;
     merged.frames_skipped += r.frames_skipped;
     merged.faults_terminated_early += r.faults_terminated_early;

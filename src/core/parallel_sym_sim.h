@@ -72,10 +72,10 @@ struct ParallelSymConfig {
 ///
 /// The merged HybridResult: per-fault status/detect_frame are written
 /// into the global fault order; detected_count, fallback_windows,
-/// symbolic_frames and three_valued_frames are summed over shards
-/// (each shard walks the whole sequence, so frame counters scale with
-/// the shard count); peak_live_nodes is the max over shards;
-/// used_fallback is the OR.
+/// symbolic_frames, three_valued_frames and binary_frames are summed
+/// over shards (each shard walks the whole sequence, so frame counters
+/// scale with the shard count); peak_live_nodes is the max over
+/// shards; used_fallback is the OR.
 class ParallelSymSim {
  public:
   /// Validates the configuration like HybridFaultSim does (throws

@@ -212,6 +212,9 @@ PipelineResult run_pipeline(const Netlist& netlist,
                  result.seconds_symbolic);
     result.detected_symbolic = rs.detected_count;
     result.used_fallback = rs.used_fallback;
+    result.symbolic_frames = rs.symbolic_frames;
+    result.three_valued_frames = rs.three_valued_frames;
+    result.binary_frames = rs.binary_frames;
     result.frames_skipped = rs.frames_skipped;
     result.faults_terminated_early = rs.faults_terminated_early;
     result.faultfree_evals_shared = rs.faultfree_evals_shared;

@@ -78,6 +78,13 @@ struct PipelineResult {
   /// True if the hybrid simulator used three-valued fallback windows
   /// (the paper's asterisk: symbolic coverage then a lower bound).
   bool used_fallback = false;
+  /// Frames the symbolic stage ran in each mode (summed over shards
+  /// when fault-sharded): symbolic, three-valued fallback windows, and
+  /// the exact binary mode after the settled hand-off. Zero when the
+  /// stage did not run.
+  std::size_t symbolic_frames = 0;
+  std::size_t three_valued_frames = 0;
+  std::size_t binary_frames = 0;
   /// True if the symbolic stage was skipped because the sequence
   /// carries X (partially specified) inputs, which only the
   /// three-valued stage supports.

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
+#include "bench_data/synth_gen.h"
 #include "core/hybrid_sim.h"
 #include "core/sym_fault_sim.h"
 #include "faults/collapse.h"
@@ -116,11 +120,13 @@ TEST_P(HybridSoundness, FrameAccountingAddsUp) {
 
   HybridFaultSim hybrid(nl, c.faults(), tight(Strategy::Mot, 32, 3));
   const auto r = hybrid.run(seq);
-  // Every frame ran in exactly one mode — unless all faults dropped
-  // early and the run stopped.
-  EXPECT_LE(r.symbolic_frames + r.three_valued_frames, seq.size());
+  // Every frame ran in exactly one of the three modes — unless all
+  // faults dropped early and the run stopped.
+  const std::size_t frames =
+      r.symbolic_frames + r.three_valued_frames + r.binary_frames;
+  EXPECT_LE(frames, seq.size());
   if (r.detected_count < c.size()) {
-    EXPECT_EQ(r.symbolic_frames + r.three_valued_frames, seq.size());
+    EXPECT_EQ(frames, seq.size());
   }
   if (r.used_fallback) {
     EXPECT_GT(r.fallback_windows, 0u);
@@ -283,6 +289,158 @@ TEST(HybridOpSequence, MidFrameCollectionsArePinned) {
   EXPECT_EQ(got.gc_runs, 114u);
   EXPECT_EQ(got.gc_reclaimed_nodes, 902616u);
   EXPECT_EQ(got.peak_live_nodes, 107859u);
+}
+
+// ---------------------------------------------------------------------------
+// Settled hand-off: once every state function of both machines is a
+// constant and only binary inputs remain, the run finishes on the
+// three-valued engine. The pure symbolic simulator is the oracle: the
+// hand-off must not move a single verdict or detection frame.
+// ---------------------------------------------------------------------------
+
+Netlist handoff_circuit(const std::string& name) {
+  if (name == "apipe") {
+    return generate_circuit(SynthSpec{"apipe", 4, 2, 8, 70,
+                                      CircuitStyle::AcyclicPipeline, 21});
+  }
+  return make_benchmark(name);
+}
+
+class HybridBinaryHandOff : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(HybridBinaryHandOff, MatchesPureSymbolic) {
+  const Netlist nl = handoff_circuit(GetParam());
+  const CollapsedFaultList c(nl);
+  Rng rng(31);
+  const TestSequence seq = random_sequence(nl, 40, rng);
+
+  for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
+    SymFaultSim pure(nl, c.faults(), s);
+    const SymFaultSimResult rp = pure.run(seq);
+    for (Sim3Backend backend : {Sim3Backend::Event, Sim3Backend::BitPar}) {
+      for (const bool trim : {false, true}) {
+        for (const bool sgraph : {false, true}) {
+          HybridConfig cfg = ample(s);
+          cfg.sim3_backend = backend;
+          cfg.trim = trim;
+          cfg.sgraph = sgraph;
+          HybridFaultSim hybrid(nl, c.faults(), cfg);
+          const HybridResult rh = hybrid.run(seq);
+          const std::string what = std::string(to_cstring(s)) + " " +
+                                   to_cstring(backend) +
+                                   (trim ? " trim" : "") +
+                                   (sgraph ? " sgraph" : "");
+          EXPECT_EQ(rh.fallback_windows, 0u) << what;
+          // The hand-off really fired, so the comparison is not vacuous.
+          EXPECT_GT(rh.binary_frames, 0u) << what;
+          EXPECT_EQ(rh.symbolic_frames + rh.binary_frames, seq.size())
+              << what;
+          EXPECT_EQ(rh.detected_count, rp.detected_count) << what;
+          EXPECT_EQ(rh.status, rp.status) << what;
+          EXPECT_EQ(rh.detect_frame, rp.detect_frame) << what;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Circuits, HybridBinaryHandOff,
+                         ::testing::Values("s386", "s713", "s820", "s1488",
+                                           "apipe"));
+
+TEST(HybridBinaryHandOff, NeverFiresOnCircuitsThatDoNotSettle) {
+  // Counter-like state that no input sequence pins down keeps
+  // depending on the state variables: these jobs stay symbolic.
+  for (const char* name : {"s208.1", "s510"}) {
+    const Netlist nl = make_benchmark(name);
+    const CollapsedFaultList c(nl);
+    Rng rng(32);
+    const TestSequence seq = random_sequence(nl, 40, rng);
+    HybridFaultSim sim(nl, c.faults(), ample(Strategy::Mot));
+    const HybridResult r = sim.run(seq);
+    EXPECT_EQ(r.binary_frames, 0u) << name;
+    EXPECT_EQ(r.symbolic_frames, seq.size()) << name;
+  }
+}
+
+TEST(HybridBinaryHandOff, LaterXInputStillRejected) {
+  const Netlist nl = make_benchmark("s1488");
+  const CollapsedFaultList c(nl);
+  Rng rng(33);
+  TestSequence seq = random_sequence(nl, 20, rng);
+  HybridFaultSim clean(nl, c.faults(), ample(Strategy::Mot));
+  const HybridResult r = clean.run(seq);
+  ASSERT_GT(r.binary_frames, 0u);
+  ASSERT_LT(r.symbolic_frames, 15u);  // settled before the X frame
+
+  seq[15][0] = Val3::X;
+  HybridFaultSim sim(nl, c.faults(), ample(Strategy::Mot));
+  EXPECT_THROW((void)sim.run(seq), std::invalid_argument);
+}
+
+class RecordingSink final : public CheckpointSink {
+ public:
+  void on_checkpoint(const ChunkCheckpoint& ck) override {
+    records.push_back(ck);
+  }
+  std::vector<ChunkCheckpoint> records;
+};
+
+void expect_same_record(const ChunkCheckpoint& a, const ChunkCheckpoint& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.chunk, b.chunk) << what;
+  EXPECT_EQ(a.frame, b.frame) << what;
+  EXPECT_EQ(a.in_window, b.in_window) << what;
+  EXPECT_EQ(a.window_left, b.window_left) << what;
+  EXPECT_EQ(a.complete, b.complete) << what;
+  EXPECT_EQ(a.good_state, b.good_state) << what;
+  EXPECT_EQ(a.fault_index, b.fault_index) << what;
+  EXPECT_EQ(a.status, b.status) << what;
+  EXPECT_EQ(a.detect_frame, b.detect_frame) << what;
+  EXPECT_EQ(a.diff, b.diff) << what;
+}
+
+TEST(HybridBinaryHandOff, CheckpointResumeAcrossBinaryMode) {
+  const Netlist nl = make_benchmark("s1488");
+  const CollapsedFaultList c(nl);
+  Rng rng(34);
+  const TestSequence seq = random_sequence(nl, 40, rng);
+  HybridConfig cfg = ample(Strategy::Mot);
+  cfg.checkpoint_interval = 8;
+
+  RecordingSink full;
+  HybridFaultSim sim(nl, c.faults(), cfg);
+  sim.set_checkpoint_sink(&full);
+  const HybridResult r = sim.run(seq);
+  ASSERT_EQ(r.fallback_windows, 0u);
+  ASSERT_GT(r.binary_frames, 0u);
+  // Without windows the symbolic frames are exactly the ones before
+  // the hand-off.
+  const std::size_t handoff = r.symbolic_frames;
+  std::size_t after = 0;
+  for (const ChunkCheckpoint& ck : full.records) {
+    if (ck.frame < handoff) continue;
+    ++after;
+    EXPECT_FALSE(ck.in_window) << "frame " << ck.frame;
+    EXPECT_EQ(ck.window_left, 0u) << "frame " << ck.frame;
+  }
+  ASSERT_GE(after, 2u);  // boundaries inside the binary mode were written
+
+  for (std::size_t k = 0; k < full.records.size(); ++k) {
+    const std::string what = "resumed at frame " +
+                             std::to_string(full.records[k].frame);
+    RecordingSink tail;
+    HybridFaultSim resumed(nl, c.faults(), cfg);
+    resumed.set_resume(full.records[k]);
+    resumed.set_checkpoint_sink(&tail);
+    const HybridResult rr = resumed.run(seq);
+    EXPECT_EQ(rr.status, r.status) << what;
+    EXPECT_EQ(rr.detect_frame, r.detect_frame) << what;
+    ASSERT_EQ(tail.records.size(), full.records.size() - k - 1) << what;
+    for (std::size_t j = 0; j < tail.records.size(); ++j) {
+      expect_same_record(tail.records[j], full.records[k + 1 + j], what);
+    }
+  }
 }
 
 }  // namespace

@@ -596,11 +596,14 @@ TEST(PipelineTelemetry, ModeSecondsAndPeakNodesInvariants) {
   const double total = gauge_value(s, "pipeline.symbolic_seconds");
   EXPECT_LE(sym + fb, total + 1e-6);
   EXPECT_NEAR(sym + fb, total, 0.5);
+  // The settled hand-off's time is part of the symbolic mode's.
+  EXPECT_LE(gauge_value(s, "hybrid.binary_seconds"), sym);
 
   // Frame counters partition the simulated frames.
   const std::uint64_t frames =
       counter_value(s, "hybrid.symbolic_frames") +
-      counter_value(s, "hybrid.three_valued_frames");
+      counter_value(s, "hybrid.three_valued_frames") +
+      counter_value(s, "hybrid.binary_frames");
   EXPECT_GT(frames, 0u);
   EXPECT_LE(frames, w.seq.size());
   EXPECT_GT(counter_value(s, "hybrid.fallback_windows"), 0u);

@@ -212,9 +212,11 @@ TEST(ParallelSymSim, RespectsInitialStatusAndMergesCounters) {
   }
   EXPECT_EQ(r.detected_count, newly_detected);
   EXPECT_GT(r.peak_live_nodes, 0u);
-  // Every live shard walks the whole sequence symbolically (or drops
-  // all faults early); summed frame counters reflect the shard count.
-  EXPECT_GE(r.symbolic_frames + r.three_valued_frames, seq.size());
+  // Every live shard walks the whole sequence, each frame in one of
+  // the three modes (or drops all faults early); summed frame counters
+  // reflect the shard count.
+  EXPECT_GE(r.symbolic_frames + r.three_valued_frames + r.binary_frames,
+            seq.size());
 }
 
 TEST(ParallelSymSim, AllFaultsPreclassifiedIsANoop) {

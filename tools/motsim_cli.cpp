@@ -154,7 +154,8 @@ struct Options {
                "  --stats            print structural statistics\n"
                "  --reset            insert a synchronous reset first\n"
                "  --dot FILE         write the netlist as Graphviz dot\n"
-               "  --json             print the summary as JSON too\n"
+               "  --json             print the summary as JSON too, with\n"
+               "                     the symbolic stage's per-mode frames\n"
                "  --save-seq FILE    save the test sequence\n"
                "  --load-seq FILE    replay a saved sequence instead of\n"
                "                     generating one\n"
@@ -453,6 +454,32 @@ int write_report_json(const Options& o, const Netlist& nl,
   return 0;
 }
 
+/// Frames the symbolic stage ran in each of its three modes.
+struct ModeFrames {
+  std::size_t symbolic = 0;
+  std::size_t three_valued = 0;
+  std::size_t binary = 0;
+};
+
+void print_mode_frames(const ModeFrames& f) {
+  std::printf("modes:      %zu symbolic, %zu three-valued, %zu binary "
+              "frames\n",
+              f.symbolic, f.three_valued, f.binary);
+}
+
+/// The coverage summary as one JSON object, extended by the symbolic
+/// stage's per-mode frame counts when that stage ran (`frames` set).
+std::string summary_json(const CoverageSummary& summary,
+                         const ModeFrames* frames) {
+  std::string json = summary.to_json();
+  if (frames == nullptr) return json;
+  json.pop_back();  // reopen the object
+  json += ",\"symbolic_frames\":" + std::to_string(frames->symbolic) +
+          ",\"three_valued_frames\":" + std::to_string(frames->three_valued) +
+          ",\"binary_frames\":" + std::to_string(frames->binary) + "}";
+  return json;
+}
+
 void show_undetected(const Netlist& nl, const std::vector<Fault>& faults,
                      const std::vector<FaultStatus>& status) {
   std::printf("\nundetected faults:\n");
@@ -574,8 +601,11 @@ int run_campaign_mode(const Options& o, const Netlist& nl,
   std::printf("engine:     %zu checkpoint syncs, %zu fallback windows%s\n",
               r.sym.checkpoint_syncs, r.sym.fallback_windows,
               r.sym.used_fallback ? "  [*coverage is a lower bound]" : "");
+  const ModeFrames frames{r.sym.symbolic_frames, r.sym.three_valued_frames,
+                          r.sym.binary_frames};
+  print_mode_frames(frames);
   std::printf("\n%s", r.summary().to_string().c_str());
-  if (o.json) std::printf("%s\n", r.summary().to_json().c_str());
+  if (o.json) std::printf("%s\n", summary_json(r.summary(), &frames).c_str());
   if (o.show_undetected) show_undetected(nl, faults, r.status);
   if (o.sync) run_sync_analysis(nl);
   return write_report_json(o, nl, faults, r.status, r.detect_frame);
@@ -754,6 +784,9 @@ int main(int argc, char** argv) {
   }
   std::printf("X01 stage:  %zu faults detected          (%.3f s, %s)\n",
               r.detected_3v, r.seconds_3v, to_cstring(o.sim.sim3_backend));
+  const ModeFrames frames{r.symbolic_frames, r.three_valued_frames,
+                          r.binary_frames};
+  const ModeFrames* symbolic_frames = nullptr;  ///< set when the stage ran
   if (o.sim.run_symbolic && r.symbolic_skipped_x_inputs) {
     std::printf("symbolic:   skipped — the sequence carries X inputs "
                 "(three-valued only)\n");
@@ -762,9 +795,13 @@ int main(int argc, char** argv) {
                 r.detected_symbolic, r.seconds_symbolic,
                 o.sim.threads == 1 ? "" : ", fault-sharded",
                 r.used_fallback ? "  [*three-valued fallback ran]" : "");
+    print_mode_frames(frames);
+    symbolic_frames = &frames;
   }
   std::printf("\n%s", r.summary().to_string().c_str());
-  if (o.json) std::printf("%s\n", r.summary().to_json().c_str());
+  if (o.json) {
+    std::printf("%s\n", summary_json(r.summary(), symbolic_frames).c_str());
+  }
 
   if (o.show_undetected) show_undetected(nl, faults.faults(), r.status);
 
