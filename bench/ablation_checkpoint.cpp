@@ -71,9 +71,9 @@ struct Measurement {
 Measurement run_once(const Netlist& nl, const std::vector<Fault>& faults,
                      const TestSequence& seq, std::size_t threads,
                      std::size_t interval, const std::string& sink_path) {
-  ParallelSymConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
-  cfg.hybrid.checkpoint_interval = interval;
+  SimOptions cfg;
+  cfg.strategy = Strategy::Mot;
+  cfg.checkpoint_interval = interval;
   cfg.threads = threads;
   ParallelSymSim sim(nl, faults, cfg);
   FileSink sink(sink_path);

@@ -43,13 +43,13 @@ int main() {
     TablePrinter table({"limit", "rMOT", "rMOT wins", "MOT", "MOT t[s]",
                         "fallbacks", "3v frames", "binary frames"});
     for (std::size_t limit : limits) {
-      HybridConfig rcfg;
+      SimOptions rcfg;
       rcfg.strategy = Strategy::Rmot;
       rcfg.node_limit = limit;
       HybridFaultSim rsim(nl, faults.faults(), rcfg);
       const auto rr = rsim.run(seq);
 
-      HybridConfig mcfg;
+      SimOptions mcfg;
       mcfg.strategy = Strategy::Mot;
       mcfg.node_limit = limit;
       HybridFaultSim msim(nl, faults.faults(), mcfg);

@@ -29,7 +29,7 @@ namespace {
 std::size_t mot_score(const Netlist& nl, const std::vector<Fault>& faults,
                       const TestSequence& seq) {
   if (seq.empty()) return 0;
-  HybridConfig hc;
+  SimOptions hc;
   hc.strategy = Strategy::Mot;
   HybridFaultSim sim(nl, faults, hc);
   return sim.run(seq).detected_count;

@@ -44,7 +44,7 @@ int main() {
     // Original machine: X01 and MOT.
     FaultSim3 x01(nl, faults.faults());
     const auto r_x01 = x01.run(seq);
-    HybridConfig cfg;
+    SimOptions cfg;
     cfg.strategy = Strategy::Mot;
     HybridFaultSim mot(nl, faults.faults(), cfg);
     const auto r_mot = mot.run(seq);

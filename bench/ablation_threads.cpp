@@ -60,8 +60,8 @@ int main() {
     double t1 = 0;
     std::vector<FaultStatus> reference;
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-      ParallelSymConfig cfg;
-      cfg.hybrid.strategy = Strategy::Mot;
+      SimOptions cfg;
+      cfg.strategy = Strategy::Mot;
       cfg.threads = threads;
       cfg.chunk_size = chunk;
       ParallelSymSim sim(nl, faults.faults(), cfg);

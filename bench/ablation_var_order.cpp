@@ -40,7 +40,7 @@ int main() {
         random_sequence(nl, bench::vector_count() / 2, rng);
 
     for (VarLayout layout : {VarLayout::Interleaved, VarLayout::Blocked}) {
-      HybridConfig cfg;
+      SimOptions cfg;
       cfg.strategy = Strategy::Mot;
       cfg.layout = layout;
       cfg.node_limit = 30000;

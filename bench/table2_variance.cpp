@@ -50,7 +50,7 @@ int main() {
       const Strategy strategies[3] = {Strategy::Sot, Strategy::Rmot,
                                       Strategy::Mot};
       for (int k = 0; k < 3; ++k) {
-        HybridConfig cfg;
+        SimOptions cfg;
         cfg.strategy = strategies[k];
         HybridFaultSim sym(nl, faults.faults(), cfg);
         sym.set_initial_status(leftover);

@@ -73,7 +73,7 @@ int main() {
     const Strategy strategies[3] = {Strategy::Sot, Strategy::Rmot,
                                     Strategy::Mot};
     for (int k = 0; k < 3; ++k) {
-      HybridConfig cfg;
+      SimOptions cfg;
       cfg.strategy = strategies[k];
       cfg.node_limit = 30000;
       HybridFaultSim sym(nl, collapsed.faults(), cfg);

@@ -36,18 +36,13 @@ int main() {
               "peak-nodes", "time[s]");
 
   for (std::size_t limit : {200u, 1000u, 5000u, 30000u, 200000u}) {
-    // The flat SimOptions surface; validate() catches nonsense before
-    // any manager is allocated.
+    // The engine validates its SimOptions (std::invalid_argument with
+    // the validate() message) before any manager is allocated.
     SimOptions opt;
     opt.strategy = Strategy::Mot;
     opt.node_limit = limit;
     opt.fallback_frames = 8;
-    const auto checked = opt.validate();
-    if (!checked) {
-      std::fprintf(stderr, "bad options: %s\n", checked.error().c_str());
-      return 1;
-    }
-    HybridFaultSim sim(nl, faults.faults(), checked->to_hybrid_config());
+    HybridFaultSim sim(nl, faults.faults(), opt);
     Stopwatch timer;
     const HybridResult r = sim.run(seq);
     std::printf("%10zu %9zu %9zu %8zu %8zu %8zu %10zu %9.3f%s\n", limit,
@@ -60,8 +55,8 @@ int main() {
   // BddManager per shard). The result is bit-identical for any thread
   // count; only the wall clock changes.
   {
-    ParallelSymConfig pc;
-    pc.hybrid.strategy = Strategy::Mot;
+    SimOptions pc;
+    pc.strategy = Strategy::Mot;
     pc.threads = 0;  // one worker per hardware thread
     ParallelSymSim par(nl, faults.faults(), pc);
     Stopwatch timer;

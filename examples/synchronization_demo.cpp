@@ -53,8 +53,8 @@ int main() {
     // Fault-simulation pipeline: X01 vs MOT.
     Rng rng(7);
     const TestSequence seq = random_sequence(nl, 100, rng);
-    PipelineConfig cfg;
-    cfg.hybrid.strategy = Strategy::Mot;
+    SimOptions cfg;
+    cfg.strategy = Strategy::Mot;
     const PipelineResult r = run_pipeline(nl, faults.faults(), seq, cfg);
     std::printf("X01 detects %zu, MOT adds %zu  ->  coverage %.1f%%\n\n",
                 r.detected_3v, r.detected_symbolic,

@@ -14,17 +14,14 @@ namespace motsim {
 using bdd::Bdd;
 
 HybridFaultSim::HybridFaultSim(const Netlist& netlist,
-                               std::vector<Fault> faults, HybridConfig config)
+                               std::vector<Fault> faults,
+                               const SimOptions& options)
     : netlist_(&netlist),
       faults_(std::move(faults)),
-      config_(config),
+      options_(options.validated()),
       initial_status_(faults_.size(), FaultStatus::Undetected) {
   if (!netlist.finalized()) {
     throw std::logic_error("HybridFaultSim requires a finalized netlist");
-  }
-  if (config_.node_limit == 0 || config_.fallback_frames == 0 ||
-      config_.hard_limit_factor == 0) {
-    throw std::invalid_argument("HybridConfig: limits must be positive");
   }
 }
 
@@ -89,18 +86,17 @@ Val3 bdd_to_val3(const Bdd& b) {
 HybridResult HybridFaultSim::run(
     const std::vector<std::vector<Val3>>& sequence) {
   const Netlist& nl = *netlist_;
+  obs::Telemetry* const telemetry = options_.telemetry;
 
-  bdd::BddConfig bddc = config_.bdd;
-  bddc.hard_node_limit = config_.node_limit * config_.hard_limit_factor;
-  bdd::BddManager mgr(bddc);
-  const StateVars vars(nl.dff_count(), config_.layout);
+  bdd::BddManager mgr(options_.to_bdd_config());
+  const StateVars vars(nl.dff_count(), options_.layout);
   // One compiled view of the netlist for all three engines.
   const std::shared_ptr<const LevelizedCircuit> circuit =
       circuit_ ? circuit_ : std::make_shared<const LevelizedCircuit>(nl);
   SymTrueValueSim sym(circuit, mgr, vars);
   if (!tied_.empty()) sym.set_tied_constants(tied_);
   SymFaultPropagator symprop(circuit, mgr, vars);
-  symprop.set_trim(config_.trim);
+  symprop.set_trim(options_.trim);
   // Static activation horizons for SOT/rMOT parking: once past
   // dead_from with no stored divergence the fault can never be excited
   // again, so its remaining symbolic frames are pure no-ops. MOT never
@@ -108,22 +104,29 @@ HybridResult HybridFaultSim::run(
   // alive so gc pressure — and hence every fallback decision — matches
   // the untrimmed run.
   TrimPlan plan;
-  if (config_.trim) {
-    plan = trim_plan_ ? *trim_plan_ : build_trim_plan(nl, faults_);
+  if (options_.trim && trim_plan_) {
+    plan = *trim_plan_;
+  } else if (options_.trim) {
+    const obs::SpanTracer::Span span = obs::open_span(telemetry, "plan.trim");
+    plan = build_trim_plan(nl, faults_);
   }
   // S-graph observation horizons for the rMOT/MOT downgrade. Horizons
   // are epoch-relative: every re-seed of the symbolic state variables
   // (window exit, checkpoint sync, resume) restarts the clock.
   SgraphPlan splan;
-  if (config_.sgraph) {
-    splan = sgraph_plan_ ? *sgraph_plan_ : build_sgraph_plan(nl, faults_);
+  if (options_.sgraph && sgraph_plan_) {
+    splan = *sgraph_plan_;
+  } else if (options_.sgraph) {
+    const obs::SpanTracer::Span span =
+        obs::open_span(telemetry, "plan.sgraph");
+    splan = build_sgraph_plan(nl, faults_);
   }
   // Three-valued engine behind the fallback windows; the backend is a
   // pure performance knob (bit-identical results). Runs serially —
   // the parallel symbolic driver shards at the fault level already.
   const std::unique_ptr<FaultSimulator3> sim3 = make_fault_simulator3(
-      config_.sim3_backend, circuit, faults_,
-      Sim3EngineConfig{/*threads=*/1, telemetry_});
+      options_.sim3_backend, circuit, faults_,
+      Sim3EngineConfig{/*threads=*/1, telemetry});
 
   HybridResult result;
   result.status = initial_status_;
@@ -162,7 +165,7 @@ HybridResult HybridFaultSim::run(
     t = resume_->frame;
   }
   const std::size_t start_frame = t;
-  const FaultStatus det = detected_status(config_.strategy);
+  const FaultStatus det = detected_status(options_.strategy);
   // First frame from which every input vector is binary and well
   // formed. The hand-off is exact only without a later X input, and a
   // later malformed vector must still reach SymTrueValueSim::step,
@@ -177,7 +180,7 @@ HybridResult HybridFaultSim::run(
     --binary_from;
   }
 
-  // Telemetry locals (all dormant when telemetry_ == nullptr): mode
+  // Telemetry locals (all dormant when telemetry == nullptr): mode
   // timers accumulate symbolic, fallback-window and binary-mode wall
   // seconds across the run's interleaved stretches; mode_span is the
   // currently open "symbolic" / "fallback_window" / "binary" trace
@@ -248,18 +251,18 @@ HybridResult HybridFaultSim::run(
     sym.release();
     mgr.gc();
     mode = Mode::ThreeValued;
-    window_left = config_.fallback_frames;
+    window_left = options_.fallback_frames;
     result.used_fallback = true;
     ++result.fallback_windows;
-    obs::log_event(telemetry_, obs::LogLevel::Warn, "hybrid.fallback.enter",
+    obs::log_event(telemetry, obs::LogLevel::Warn, "hybrid.fallback.enter",
                    {obs::LogField::u64("frame", t + 1),
                     obs::LogField::u64("live_nodes", nodes_at_entry),
                     obs::LogField::u64("live_faults", live.size()),
                     obs::LogField::u64("window_frames",
-                                       config_.fallback_frames)});
+                                       options_.fallback_frames)});
     // Both entry paths leave `t` pointing at the first frame the
     // window will simulate, so t + 1 is its 1-based number.
-    if (progress_) progress_->on_fallback_window(t + 1, config_.fallback_frames);
+    if (progress_) progress_->on_fallback_window(t + 1, options_.fallback_frames);
   };
 
   // True when the symbolic machine holds only constants: every
@@ -290,7 +293,7 @@ HybridResult HybridFaultSim::run(
     begin_session(state3, diffs_to_3v(state3));
     sym.release();
     mode = Mode::Binary;
-    obs::log_event(telemetry_, obs::LogLevel::Debug, "hybrid.binary.enter",
+    obs::log_event(telemetry, obs::LogLevel::Debug, "hybrid.binary.enter",
                    {obs::LogField::u64("frame", t + 1),
                     obs::LogField::u64("live_faults", live.size())});
   };
@@ -304,7 +307,7 @@ HybridResult HybridFaultSim::run(
   // and resumption from a stored checkpoint.
   auto seed_symbolic = [&](const std::vector<Val3>& state3,
                            const std::vector<StateDiff3>& diffs3) {
-    if (telemetry_ != nullptr) {
+    if (telemetry != nullptr) {
       for (Val3 v : state3) {
         if (v == Val3::X) ++reseeded_bits;
       }
@@ -351,7 +354,7 @@ HybridResult HybridFaultSim::run(
     live = std::move(survivors);
     sim3->end_window();
     seed_symbolic(state3, diffs3);
-    obs::log_event(telemetry_, obs::LogLevel::Info, "hybrid.fallback.exit",
+    obs::log_event(telemetry, obs::LogLevel::Info, "hybrid.fallback.exit",
                    {obs::LogField::u64("frame", t + 1),
                     obs::LogField::u64("live_faults", live.size()),
                     obs::LogField::u64("live_nodes", mgr.live_node_count())});
@@ -397,7 +400,7 @@ HybridResult HybridFaultSim::run(
     return mode == Mode::Symbolic ? live.size() : sim3->window_live();
   };
 
-  const std::size_t interval = config_.checkpoint_interval;
+  const std::size_t interval = options_.checkpoint_interval;
   auto at_boundary = [&] {
     return interval != 0 && t % interval == 0 && t < sequence.size() &&
            live_count() != 0;
@@ -430,18 +433,18 @@ HybridResult HybridFaultSim::run(
     }
   }
 
-  if (telemetry_ != nullptr && t < sequence.size() && live_count() != 0) {
-    mode_span = telemetry_->tracer.span(span_name(mode));
+  if (telemetry != nullptr && t < sequence.size() && live_count() != 0) {
+    mode_span = telemetry->tracer.span(span_name(mode));
   }
   // Resolved once: the per-frame gauge update must not pay the
   // registry's map lookup inside the hot loop.
   obs::Gauge* const live_nodes_gauge =
-      telemetry_ != nullptr ? &telemetry_->metrics.gauge("bdd.live_nodes")
+      telemetry != nullptr ? &telemetry->metrics.gauge("bdd.live_nodes")
                             : nullptr;
 
   while (t < sequence.size() && live_count() != 0) {
     const Mode frame_mode = mode;
-    if (telemetry_ != nullptr) timer_of(frame_mode).start();
+    if (telemetry != nullptr) timer_of(frame_mode).start();
     if (mode == Mode::Symbolic) {
       // Snapshot the pre-frame machine in three-valued form so an
       // aborted frame (hard-limit overflow) can be redone in the
@@ -459,7 +462,7 @@ HybridResult HybridFaultSim::run(
         // the exception path below sees the vector intact and aligned
         // with pre_diffs3.
         for (Live& lf : live) {
-          if (config_.trim && config_.strategy != Strategy::Mot &&
+          if (options_.trim && options_.strategy != Strategy::Mot &&
               !lf.parked && plan.dead_from[lf.index] != 0 &&
               t + 1 >= plan.dead_from[lf.index] &&
               lf.sym.state_diff.empty()) {
@@ -469,13 +472,13 @@ HybridResult HybridFaultSim::run(
             ++parked_skips;
             continue;
           }
-          if (config_.sgraph && config_.strategy != Strategy::Sot &&
+          if (options_.sgraph && options_.strategy != Strategy::Sot &&
               !lf.downgraded && splan.horizon[lf.index] != kInfDepth &&
               t >= epoch + splan.horizon[lf.index]) {
             lf.downgraded = true;
             ++result.mot_downgrades;
           }
-          if (symprop.step(faults_[lf.index], config_.strategy, lf.sym,
+          if (symprop.step(faults_[lf.index], options_.strategy, lf.sym,
                            ctx, lf.downgraded)) {
             result.status[lf.index] = det;
             result.detect_frame[lf.index] = static_cast<std::uint32_t>(t + 1);
@@ -505,14 +508,14 @@ HybridResult HybridFaultSim::run(
           live_nodes_gauge->set(
               static_cast<double>(mgr.live_node_count()));
         }
-        obs::log_event(telemetry_, obs::LogLevel::Trace, "bdd.gc",
+        obs::log_event(telemetry, obs::LogLevel::Trace, "bdd.gc",
                        {obs::LogField::u64("frame", t),
                         obs::LogField::u64("live_nodes",
                                            mgr.live_node_count())});
         if (progress_) {
           progress_->on_frame(t, mgr.live_node_count(), live.size());
         }
-        if (mgr.live_node_count() > config_.node_limit && t < sequence.size()) {
+        if (mgr.live_node_count() > options_.node_limit && t < sequence.size()) {
           // Soft limit: leave symbolic mode at the frame boundary.
           const std::vector<Val3> post_state3 = sym.state_as_val3();
           enter_three_valued(post_state3, diffs_to_3v(post_state3));
@@ -525,10 +528,10 @@ HybridResult HybridFaultSim::run(
         // work and redo frame t in three-valued mode. Faults already
         // marked detected this frame keep their (valid) verdicts;
         // snapshot diffs restore every surviving fault.
-        obs::log_event(telemetry_, obs::LogLevel::Warn, "bdd.overflow",
+        obs::log_event(telemetry, obs::LogLevel::Warn, "bdd.overflow",
                        {obs::LogField::u64("frame", t + 1),
                         obs::LogField::u64("node_limit",
-                                           config_.node_limit)},
+                                           options_.node_limit)},
                        "hard node limit mid-frame; redoing frame "
                        "three-valued");
         std::size_t keep = 0;
@@ -556,10 +559,10 @@ HybridResult HybridFaultSim::run(
           seed_symbolic(ck.good_state, diffs3);
           mgr.gc();
           ++result.checkpoint_syncs;
-          if (telemetry_ != nullptr) {
-            telemetry_->tracer.instant("checkpoint_sync");
+          if (telemetry != nullptr) {
+            telemetry->tracer.instant("checkpoint_sync");
           }
-          obs::log_event(telemetry_, obs::LogLevel::Debug,
+          obs::log_event(telemetry, obs::LogLevel::Debug,
                          "hybrid.checkpoint.sync",
                          {obs::LogField::u64("frame", t),
                           obs::LogField::u64("live_faults", live.size()),
@@ -602,11 +605,11 @@ HybridResult HybridFaultSim::run(
         resume_symbolic();
       }
     }
-    if (telemetry_ != nullptr) {
+    if (telemetry != nullptr) {
       timer_of(frame_mode).stop();
       if (mode != frame_mode) {
         mode_span.reset();  // closes the stretch that just ended
-        mode_span = telemetry_->tracer.span(span_name(mode));
+        mode_span = telemetry->tracer.span(span_name(mode));
       }
     }
   }
@@ -628,9 +631,9 @@ HybridResult HybridFaultSim::run(
     if (lf.parked) ++result.faults_terminated_early;
   }
 
-  if (telemetry_ != nullptr) {
+  if (telemetry != nullptr) {
     mode_span.reset();
-    obs::MetricsRegistry& m = telemetry_->metrics;
+    obs::MetricsRegistry& m = telemetry->metrics;
     m.counter("hybrid.symbolic_frames").add(result.symbolic_frames);
     m.counter("hybrid.three_valued_frames").add(result.three_valued_frames);
     m.counter("hybrid.binary_frames").add(result.binary_frames);

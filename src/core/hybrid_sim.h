@@ -10,6 +10,7 @@
 #include "analysis/trim.h"
 #include "bdd/bdd.h"
 #include "core/checkpoint.h"
+#include "core/options.h"
 #include "core/progress.h"
 #include "core/sym_fault_sim.h"
 #include "faults/fault.h"
@@ -17,75 +18,6 @@
 #include "sim3/fault_simulator.h"
 
 namespace motsim {
-
-namespace obs {
-struct Telemetry;  // obs/telemetry.h
-}
-
-/// Configuration of the hybrid fault simulator.
-///
-/// Compatibility note: new code should prefer the flat SimOptions
-/// (core/options.h) and its to_hybrid_config() conversion; this struct
-/// remains the engine-level representation and a thin wrapper for
-/// existing callers.
-struct HybridConfig {
-  Strategy strategy = Strategy::Mot;
-  /// Placement of the x/y state variables (see VarLayout).
-  VarLayout layout = VarLayout::Interleaved;
-  /// Soft space limit checked after each symbolic frame (the paper
-  /// uses 30,000 OBDD nodes); exceeding it triggers a three-valued
-  /// window.
-  std::size_t node_limit = 30000;
-  /// Length of a three-valued fallback window, in frames.
-  std::size_t fallback_frames = 8;
-  /// Mid-frame abort threshold = node_limit * hard_limit_factor; a
-  /// single frame whose intermediate OBDDs blow past this aborts the
-  /// frame and redoes it three-valued.
-  std::size_t hard_limit_factor = 8;
-  /// Checkpoint-synchronization interval in frames (0 = off, the
-  /// historical behaviour). Every `checkpoint_interval` completed
-  /// frames the engine brings itself into three-valued-representable
-  /// form: inside a fallback window the state already is; in symbolic
-  /// mode it converts the machine state to three-valued logic and
-  /// immediately re-enters symbolic mode (unknown bits re-seeded with
-  /// state variables, every D̃ restarted at constant 1 — the paper's
-  /// fallback re-entry with a zero-length window). The snapshot is
-  /// handed to the CheckpointSink, if any. The synchronization happens
-  /// whether or not a sink listens, so a run's results depend only on
-  /// this configuration — which is what makes a resumed run
-  /// bit-identical to an uninterrupted one. All claims stay sound
-  /// (state sets only grow), but like fallback windows a sync can
-  /// lose symbolic cross-frame correlations, so coverage with
-  /// checkpointing enabled is a (typically equal) lower bound on the
-  /// K=0 run.
-  std::size_t checkpoint_interval = 0;
-  /// Tuning of the underlying BDD manager (the hard limit field is
-  /// overridden from node_limit/hard_limit_factor).
-  bdd::BddConfig bdd;
-  /// Three-valued engine driving the fallback windows (see
-  /// sim3/fault_simulator.h). Both backends are bit-identical by
-  /// contract, so this is a pure performance knob; it is excluded from
-  /// store fingerprints and a checkpointed run may resume under either.
-  Sim3Backend sim3_backend = default_sim3_backend();
-  /// Execution-redundancy trimming (docs/ANALYSIS.md): skip the
-  /// symbolic propagation of provably quiescent fault-frames, park
-  /// SOT/rMOT faults past their static activation horizon, and serve
-  /// quiescent MOT frames from the shared fault-free equality product.
-  /// Like sim3_backend this is a pure performance knob — verdicts,
-  /// detection frames and D̃ functions are bit-identical either way —
-  /// so it is likewise excluded from store fingerprints. On by default.
-  bool trim = true;
-  /// S-graph synchronization-depth pass (docs/ANALYSIS.md pass 6):
-  /// once the frame index passes a fault's observation horizon —
-  /// relative to the frame at which the current symbolic state
-  /// variables were seeded — its rMOT/MOT updates run in downgraded,
-  /// SOT-equivalent form (the per-frame equality products collapse).
-  /// Another pure performance knob, bit-identical by OBDD canonicity
-  /// and likewise excluded from store fingerprints; the manifest still
-  /// records it (opt_sgraph) because the parallel shard partition
-  /// folds horizons into the cluster order. On by default.
-  bool sgraph = true;
-};
 
 /// Result of a hybrid run.
 struct HybridResult {
@@ -108,14 +40,14 @@ struct HybridResult {
   /// Checkpoint synchronizations performed (symbolic-mode re-seeds at
   /// checkpoint boundaries; window-mode checkpoints do not sync).
   std::size_t checkpoint_syncs = 0;
-  /// Trimming telemetry (zero when HybridConfig::trim is off): symbolic
+  /// Trimming telemetry (zero when SimOptions::trim is off): symbolic
   /// fault-frames whose propagation was skipped (quiescent or parked),
   /// faults parked past their static activation horizon, and MOT
   /// fault-frames served by the shared fault-free equality product.
   std::uint64_t frames_skipped = 0;
   std::uint64_t faults_terminated_early = 0;
   std::uint64_t faultfree_evals_shared = 0;
-  /// S-graph telemetry (zero when HybridConfig::sgraph is off): fault
+  /// S-graph telemetry (zero when SimOptions::sgraph is off): fault
   /// downgrade events — a fault counts once per symbolic epoch in
   /// which its observation horizon passed (re-seeding the state
   /// variables restarts the clock, so a fault may re-downgrade after
@@ -138,10 +70,20 @@ struct HybridResult {
 /// exact, so the run hands every live fault to the three-valued engine
 /// for the rest of the sequence with unchanged verdicts and detection
 /// frames (docs/ALGORITHMS.md).
+///
+/// Reads the symbolic-engine fields of its SimOptions (strategy,
+/// layout, limits, checkpoint_interval, trim, sgraph, BDD tuning), the
+/// three-valued backend of its fallback windows (sim3_backend) and the
+/// telemetry context (options.telemetry, which receives mode timers
+/// and spans, frame counters, re-seeded state bits and the BDD
+/// manager's statistics; nullptr costs one branch per frame). The
+/// stage switches and the parallel fields are ignored.
 class HybridFaultSim {
  public:
+  /// Throws std::invalid_argument when options.validate() fails and
+  /// std::logic_error on a non-finalized netlist.
   HybridFaultSim(const Netlist& netlist, std::vector<Fault> faults,
-                 HybridConfig config = {});
+                 const SimOptions& options = {});
 
   /// Pre-classifies faults; non-Undetected entries are not simulated.
   void set_initial_status(std::vector<FaultStatus> status);
@@ -151,17 +93,8 @@ class HybridFaultSim {
   /// free of everything but one predictable branch per event.
   void set_progress(ProgressSink* sink) noexcept { progress_ = sink; }
 
-  /// Telemetry context for the run (see obs/telemetry.h): symbolic /
-  /// fallback mode timers and spans, frame counters, re-seeded state
-  /// bits and the BDD manager's operation statistics. nullptr (the
-  /// default) costs one branch per frame. Called from the thread that
-  /// executes run().
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
   /// Receiver of checkpoint snapshots (see core/checkpoint.h); only
-  /// consulted when config.checkpoint_interval != 0. Called from the
+  /// consulted when options.checkpoint_interval != 0. Called from the
   /// thread that executes run(). Emitted chunk ids are 0 and fault
   /// indices are this fault list's (the parallel driver translates).
   void set_checkpoint_sink(CheckpointSink* sink) noexcept {
@@ -182,12 +115,12 @@ class HybridFaultSim {
   /// list). Used by the pipeline to hand down the implication-enriched
   /// plan and by the parallel driver to slice one global plan per
   /// chunk; without it the engine builds the structural plan itself
-  /// when config.trim is on. Ignored when config.trim is off.
+  /// when options.trim is on. Ignored when options.trim is off.
   void set_trim_plan(TrimPlan plan);
 
   /// Supplies a pre-built s-graph plan (aligned with this fault
   /// list); same contract as set_trim_plan but for the observation
-  /// horizons. Ignored when config.sgraph is off.
+  /// horizons. Ignored when options.sgraph is off.
   void set_sgraph_plan(SgraphPlan plan);
 
   /// Supplies the compiled view of the netlist that the symbolic and
@@ -202,7 +135,7 @@ class HybridFaultSim {
   /// run() starts at frame `ck.frame` in the recorded mode, with
   /// statuses, detection frames and per-fault state divergences
   /// restored. Replaces any set_initial_status. With the same
-  /// configuration (same checkpoint_interval in particular) the
+  /// options (same checkpoint_interval in particular) the
   /// resumed run's result is bit-identical to the uninterrupted run.
   void set_resume(ChunkCheckpoint checkpoint);
 
@@ -212,11 +145,10 @@ class HybridFaultSim {
  private:
   const Netlist* netlist_;
   std::vector<Fault> faults_;
-  HybridConfig config_;
+  SimOptions options_;
   std::vector<FaultStatus> initial_status_;
   ProgressSink* progress_ = nullptr;
   CheckpointSink* checkpoint_ = nullptr;
-  obs::Telemetry* telemetry_ = nullptr;
   std::optional<ChunkCheckpoint> resume_;
   std::vector<ConstVal> tied_;
   std::optional<TrimPlan> trim_plan_;

@@ -1,6 +1,7 @@
 #include "core/options.h"
 
-#include "core/pipeline.h"
+#include <stdexcept>
+#include <utility>
 
 namespace motsim {
 
@@ -59,66 +60,21 @@ Expected<SimOptions, std::string> SimOptions::validate() const {
   return *this;
 }
 
+SimOptions SimOptions::validated() const {
+  Expected<SimOptions, std::string> checked = validate();
+  if (!checked.has_value()) {
+    throw std::invalid_argument("SimOptions: " + checked.error());
+  }
+  return std::move(*checked);
+}
+
 bdd::BddConfig SimOptions::to_bdd_config() const {
   bdd::BddConfig c;
   c.initial_capacity = bdd_initial_capacity;
   c.cache_size_log2 = bdd_cache_size_log2;
   c.auto_gc_floor = bdd_auto_gc_floor;
-  // hard_node_limit is derived by the hybrid simulator from
-  // node_limit * hard_limit_factor; the raw BddConfig keeps its
-  // default (unlimited) here.
+  c.hard_node_limit = node_limit * hard_limit_factor;
   return c;
-}
-
-HybridConfig SimOptions::to_hybrid_config() const {
-  HybridConfig c;
-  c.strategy = strategy;
-  c.layout = layout;
-  c.node_limit = node_limit;
-  c.fallback_frames = fallback_frames;
-  c.hard_limit_factor = hard_limit_factor;
-  c.checkpoint_interval = checkpoint_interval;
-  c.bdd = to_bdd_config();
-  c.sim3_backend = sim3_backend;
-  c.trim = trim;
-  c.sgraph = sgraph;
-  return c;
-}
-
-PipelineConfig SimOptions::to_pipeline_config() const {
-  PipelineConfig c;
-  c.analysis = analysis;
-  c.run_xred = run_xred;
-  c.sim3_backend = sim3_backend;
-  c.run_symbolic = run_symbolic;
-  c.threads = threads;
-  c.chunk_size = chunk_size;
-  c.hybrid = to_hybrid_config();
-  c.telemetry = telemetry;
-  return c;
-}
-
-SimOptions SimOptions::from_pipeline_config(const PipelineConfig& config) {
-  SimOptions o;
-  o.analysis = config.analysis;
-  o.run_xred = config.run_xred;
-  o.sim3_backend = config.sim3_backend;
-  o.run_symbolic = config.run_symbolic;
-  o.threads = config.threads;
-  o.chunk_size = config.chunk_size;
-  o.strategy = config.hybrid.strategy;
-  o.layout = config.hybrid.layout;
-  o.node_limit = config.hybrid.node_limit;
-  o.fallback_frames = config.hybrid.fallback_frames;
-  o.hard_limit_factor = config.hybrid.hard_limit_factor;
-  o.checkpoint_interval = config.hybrid.checkpoint_interval;
-  o.trim = config.hybrid.trim;
-  o.sgraph = config.hybrid.sgraph;
-  o.bdd_initial_capacity = config.hybrid.bdd.initial_capacity;
-  o.bdd_cache_size_log2 = config.hybrid.bdd.cache_size_log2;
-  o.bdd_auto_gc_floor = config.hybrid.bdd.auto_gc_floor;
-  o.telemetry = config.telemetry;
-  return o;
 }
 
 }  // namespace motsim

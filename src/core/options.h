@@ -6,30 +6,22 @@
 #include <string>
 
 #include "bdd/bdd.h"
-#include "core/hybrid_sim.h"
 #include "core/sym_fault_sim.h"
+#include "sim3/fault_simulator.h"
 #include "util/expected.h"
 
 namespace motsim {
-
-struct PipelineConfig;  // core/pipeline.h
 
 namespace obs {
 struct Telemetry;  // obs/telemetry.h
 }
 
-/// The unified, flat configuration surface of the fault-simulation
-/// engines. One struct covers everything the pipeline, the hybrid
-/// simulator, the parallel driver and the BDD package used to spread
-/// over the nested PipelineConfig -> HybridConfig -> BddConfig chain;
-/// those structs remain as thin compatibility wrappers (and as the
-/// internal representation) for one release — new code should build a
-/// SimOptions, validate() it, and hand it to run_pipeline or
-/// ParallelSymSim.
-///
-/// Every field has the same default as the legacy structs, so a
-/// default-constructed SimOptions reproduces today's behaviour
-/// exactly.
+/// The one configuration of the fault-simulation engines: run_pipeline,
+/// HybridFaultSim and ParallelSymSim all take a SimOptions, and each
+/// rejects an invalid one (std::invalid_argument carrying validate()'s
+/// message). The BDD package's settings are derived from it by
+/// to_bdd_config(). A default-constructed SimOptions is the paper's
+/// protocol: MOT, 30,000-node space limit, 8-frame fallback windows.
 struct SimOptions {
   // ---- pipeline stages ------------------------------------------------
   /// Run the sequence-independent static analyses (StaticXRedAnalysis
@@ -64,31 +56,42 @@ struct SimOptions {
   std::size_t node_limit = 30000;
   /// Length of a three-valued fallback window, in frames.
   std::size_t fallback_frames = 8;
-  /// Mid-frame abort threshold = node_limit * hard_limit_factor.
+  /// Mid-frame abort threshold = node_limit * hard_limit_factor: a
+  /// frame whose intermediate OBDDs blow past it is redone
+  /// three-valued.
   std::size_t hard_limit_factor = 8;
   /// Checkpoint-synchronization interval in frames (0 = off). Every K
-  /// completed frames the symbolic engine converts machine state to
-  /// three-valued form and re-seeds (a zero-length fallback window) so
-  /// a snapshot can be persisted; the sync happens whether or not a
-  /// CheckpointSink listens, making resumed runs bit-identical to
-  /// uninterrupted ones. See HybridConfig::checkpoint_interval and
+  /// completed frames the symbolic engine brings itself into
+  /// three-valued-representable form: inside a fallback window the
+  /// state already is; in symbolic mode it converts the machine state
+  /// to three-valued logic and immediately re-enters symbolic mode
+  /// (unknown bits re-seeded with state variables, every D̃ restarted
+  /// at constant 1 — the paper's fallback re-entry with a zero-length
+  /// window). The snapshot goes to the CheckpointSink, if any. The sync
+  /// happens whether or not a sink listens, so a run's results depend
+  /// only on the options — which is what makes a resumed run
+  /// bit-identical to an uninterrupted one. All claims stay sound, but
+  /// like fallback windows a sync can lose symbolic cross-frame
+  /// correlations, so coverage with checkpointing enabled is a
+  /// (typically equal) lower bound on the K=0 run. See
   /// docs/CHECKPOINT.md.
   std::size_t checkpoint_interval = 0;
   /// Execution-redundancy trimming in the symbolic stage (see
-  /// HybridConfig::trim and docs/ANALYSIS.md): quiescent-frame
-  /// skipping, SOT/rMOT activation parking, shared MOT equality
-  /// products and cluster-aware shard assignment. Bit-identical to the
-  /// untrimmed run by construction, so — like sim3_backend — it is a
-  /// pure performance knob, excluded from store fingerprints; it IS
-  /// recorded in manifests so a resumed campaign recomputes the same
-  /// shard partition. On by default. CLI flag: --no-trim.
+  /// docs/ANALYSIS.md): quiescent-frame skipping, SOT/rMOT activation
+  /// parking, shared MOT equality products and cluster-aware shard
+  /// assignment. Verdicts are identical to the untrimmed run while no
+  /// fallback window opens; sound but possibly fewer detections once
+  /// one does. A performance knob, excluded from store fingerprints;
+  /// it IS recorded in manifests so a resumed campaign recomputes the
+  /// same shard partition. On by default. CLI flag: --no-trim.
   bool trim = true;
   /// S-graph synchronization-depth analysis in the symbolic stage (see
-  /// HybridConfig::sgraph and docs/ANALYSIS.md pass 6): once the frame
-  /// index passes a fault's observation horizon its rMOT/MOT updates
-  /// run in downgraded, SOT-equivalent form, and the parallel shard
+  /// docs/ANALYSIS.md pass 6): once the frame index passes a fault's
+  /// observation horizon — relative to the frame at which the current
+  /// symbolic state variables were seeded — its rMOT/MOT updates run
+  /// in downgraded, SOT-equivalent form, and the parallel shard
   /// assignment groups faults by horizon class. Bit-identical by OBDD
-  /// canonicity — another pure performance knob, excluded from store
+  /// canonicity — a pure performance knob, excluded from store
   /// fingerprints but recorded in manifests for the same partition-
   /// reproducibility reason as `trim`. On by default. CLI flag:
   /// --no-sgraph.
@@ -96,8 +99,9 @@ struct SimOptions {
 
   // ---- parallel execution --------------------------------------------
   /// Worker threads for the symbolic stage: 1 = the serial
-  /// HybridFaultSim (exactly the legacy path), 0 = one per hardware
-  /// thread, N >= 2 = fault-sharded ParallelSymSim with N workers.
+  /// HybridFaultSim, 0 = one per hardware thread, N >= 2 =
+  /// fault-sharded ParallelSymSim with N workers (ParallelSymSim itself
+  /// runs its shards on this many workers, serially for 1).
   std::size_t threads = 1;
   /// Faults per shard of the parallel driver; 0 = the driver's default
   /// (kDefaultChunkSize). The partition depends only on this value and
@@ -136,15 +140,13 @@ struct SimOptions {
   /// future versions may canonicalize without breaking callers.
   [[nodiscard]] Expected<SimOptions, std::string> validate() const;
 
-  // ---- conversions to the legacy structs ------------------------------
-  [[nodiscard]] bdd::BddConfig to_bdd_config() const;
-  [[nodiscard]] HybridConfig to_hybrid_config() const;
-  [[nodiscard]] PipelineConfig to_pipeline_config() const;
+  /// validate(), throwing std::invalid_argument("SimOptions: " +
+  /// message) on failure: the entry check of every engine.
+  [[nodiscard]] SimOptions validated() const;
 
-  /// Lifts a legacy nested config into the flat surface (seed keeps
-  /// its default — PipelineConfig never carried one).
-  [[nodiscard]] static SimOptions from_pipeline_config(
-      const PipelineConfig& config);
+  /// Settings of each BDD manager, including the mid-frame abort
+  /// threshold hard_node_limit = node_limit * hard_limit_factor.
+  [[nodiscard]] bdd::BddConfig to_bdd_config() const;
 
   /// Field-by-field equality of the *configuration* — the telemetry
   /// pointer is deliberately ignored (observers don't change what a

@@ -85,17 +85,13 @@ class ChunkCheckpointAdapter final : public CheckpointSink {
 
 ParallelSymSim::ParallelSymSim(const Netlist& netlist,
                                std::vector<Fault> faults,
-                               ParallelSymConfig config)
+                               const SimOptions& options)
     : netlist_(&netlist),
       faults_(std::move(faults)),
-      config_(config),
+      options_(options.validated()),
       initial_status_(faults_.size(), FaultStatus::Undetected) {
   if (!netlist.finalized()) {
     throw std::logic_error("ParallelSymSim requires a finalized netlist");
-  }
-  if (config_.hybrid.node_limit == 0 || config_.hybrid.fallback_frames == 0 ||
-      config_.hybrid.hard_limit_factor == 0) {
-    throw std::invalid_argument("ParallelSymConfig: limits must be positive");
   }
 }
 
@@ -123,12 +119,12 @@ void ParallelSymSim::set_sgraph_plan(SgraphPlan plan) {
 }
 
 std::size_t ParallelSymSim::resolved_threads() const noexcept {
-  return config_.threads == 0 ? ThreadPool::default_thread_count()
-                              : config_.threads;
+  return options_.threads == 0 ? ThreadPool::default_thread_count()
+                               : options_.threads;
 }
 
 std::size_t ParallelSymSim::resolved_chunk_size() const noexcept {
-  return config_.chunk_size == 0 ? kDefaultChunkSize : config_.chunk_size;
+  return options_.chunk_size == 0 ? kDefaultChunkSize : options_.chunk_size;
 }
 
 HybridResult ParallelSymSim::run(
@@ -144,14 +140,20 @@ HybridResult ParallelSymSim::run(
   // influence before cutting chunks (deterministic — see the class
   // comment). A resumed run recomputes the identical partition because
   // the reorder depends on nothing but the inputs validated below.
-  if (config_.hybrid.trim) {
+  obs::Telemetry* const telemetry = options_.telemetry;
+  if (options_.trim) {
+    const obs::SpanTracer::Span span =
+        obs::open_span(telemetry, "plan.cluster");
     live = cluster_live_order(*netlist_, faults_, live);
   }
   // One global trimming plan, sliced per chunk below; building it once
   // here keeps the per-shard setup cost flat in the chunk count.
   TrimPlan plan;
-  if (config_.hybrid.trim) {
-    plan = trim_plan_ ? *trim_plan_ : build_trim_plan(*netlist_, faults_);
+  if (options_.trim && trim_plan_) {
+    plan = *trim_plan_;
+  } else if (options_.trim) {
+    const obs::SpanTracer::Span span = obs::open_span(telemetry, "plan.trim");
+    plan = build_trim_plan(*netlist_, faults_);
   }
   // Likewise one global s-graph plan. Its horizons also refine the
   // shard assignment: a stable sort by observation horizon keeps the
@@ -160,9 +162,14 @@ HybridResult ParallelSymSim::run(
   // of one straggler keeping the whole shard's equality products alive.
   // Stable + pure function of the fault list, so still deterministic.
   SgraphPlan splan;
-  if (config_.hybrid.sgraph) {
-    splan =
-        sgraph_plan_ ? *sgraph_plan_ : build_sgraph_plan(*netlist_, faults_);
+  if (options_.sgraph) {
+    if (sgraph_plan_) {
+      splan = *sgraph_plan_;
+    } else {
+      const obs::SpanTracer::Span span =
+          obs::open_span(telemetry, "plan.sgraph");
+      splan = build_sgraph_plan(*netlist_, faults_);
+    }
     std::stable_sort(live.begin(), live.end(),
                      [&splan](std::size_t a, std::size_t b) {
                        return splan.horizon[a] < splan.horizon[b];
@@ -223,9 +230,9 @@ HybridResult ParallelSymSim::run(
   // into it lock-free. Bounds span sub-millisecond s27 shards to
   // multi-minute stress runs.
   obs::Histogram* shard_hist =
-      telemetry_ == nullptr
+      telemetry == nullptr
           ? nullptr
-          : &telemetry_->metrics.histogram(
+          : &telemetry->metrics.histogram(
                 "parallel.shard_seconds",
                 {0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0});
 
@@ -255,8 +262,7 @@ HybridResult ParallelSymSim::run(
       try {
         // One private BddManager per worker-chunk lives inside this
         // HybridFaultSim::run call; nothing symbolic crosses threads.
-        HybridFaultSim sim(*netlist_, std::move(chunk_faults),
-                           config_.hybrid);
+        HybridFaultSim sim(*netlist_, std::move(chunk_faults), options_);
         ChunkProgressAdapter adapter(progress_, &progress_mutex,
                                      live.data() + begin);
         if (progress_ != nullptr) sim.set_progress(&adapter);
@@ -264,10 +270,9 @@ HybridResult ParallelSymSim::run(
                                           live.data() + begin, c);
         if (checkpoint_ != nullptr) sim.set_checkpoint_sink(&ck_adapter);
         sim.set_circuit(circuit);
-        if (telemetry_ != nullptr) sim.set_telemetry(telemetry_);
         if (resume_of[c].has_value()) sim.set_resume(*resume_of[c]);
         if (!tied_.empty()) sim.set_tied_constants(tied_);
-        if (config_.hybrid.trim) {
+        if (options_.trim) {
           TrimPlan chunk_plan;
           chunk_plan.dead_from.reserve(end - begin);
           for (std::size_t k = begin; k < end; ++k) {
@@ -275,7 +280,7 @@ HybridResult ParallelSymSim::run(
           }
           sim.set_trim_plan(std::move(chunk_plan));
         }
-        if (config_.hybrid.sgraph) {
+        if (options_.sgraph) {
           SgraphPlan chunk_splan;
           chunk_splan.nontrivial_sccs = splan.nontrivial_sccs;
           chunk_splan.horizon.reserve(end - begin);
@@ -284,10 +289,8 @@ HybridResult ParallelSymSim::run(
           }
           sim.set_sgraph_plan(std::move(chunk_splan));
         }
-        std::optional<obs::SpanTracer::Span> shard_span;
-        if (telemetry_ != nullptr) {
-          shard_span = telemetry_->tracer.span("shard");
-        }
+        const obs::SpanTracer::Span shard_span =
+            obs::open_span(telemetry, "shard");
         const Stopwatch shard_timer;
         chunk_results[c] = sim.run(sequence);
         if (shard_hist != nullptr) {
@@ -308,9 +311,9 @@ HybridResult ParallelSymSim::run(
     ThreadPool pool(workers);
     for (std::size_t i = 0; i < workers; ++i) pool.submit(worker);
     pool.wait_idle();
-    if (telemetry_ != nullptr) {
+    if (telemetry != nullptr) {
       const ThreadPoolStats ps = pool.stats();
-      obs::MetricsRegistry& m = telemetry_->metrics;
+      obs::MetricsRegistry& m = telemetry->metrics;
       m.counter("parallel.pool_tasks").add(ps.tasks_executed);
       m.gauge("parallel.idle_seconds").add(ps.idle_seconds);
       m.gauge("parallel.busy_seconds").add(ps.busy_seconds);
@@ -318,9 +321,9 @@ HybridResult ParallelSymSim::run(
           .update_max(static_cast<double>(ps.max_queue_depth));
     }
   }
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics.counter("parallel.shards").add(chunk_count);
-    telemetry_->metrics.gauge("parallel.workers")
+  if (telemetry != nullptr) {
+    telemetry->metrics.counter("parallel.shards").add(chunk_count);
+    telemetry->metrics.gauge("parallel.workers")
         .update_max(static_cast<double>(workers));
   }
   if (!first_error.empty()) {

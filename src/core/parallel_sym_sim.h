@@ -7,6 +7,7 @@
 
 #include "core/checkpoint.h"
 #include "core/hybrid_sim.h"
+#include "core/options.h"
 #include "core/progress.h"
 #include "faults/fault.h"
 #include "logic/val3.h"
@@ -19,21 +20,6 @@ namespace motsim {
 /// simulation of the whole sequence) stays amortized.
 inline constexpr std::size_t kDefaultChunkSize = 64;
 
-/// Configuration of the fault-sharded parallel symbolic driver.
-struct ParallelSymConfig {
-  /// Settings of each per-shard HybridFaultSim. Note that `node_limit`
-  /// is per shard (per BDD manager): a shard enters its three-valued
-  /// fallback window based on its own manager's live-node count.
-  HybridConfig hybrid;
-  /// Worker threads; 0 = one per hardware thread.
-  std::size_t threads = 0;
-  /// Faults per shard; 0 = kDefaultChunkSize. Results depend on the
-  /// partition only when fallback windows trigger (the window schedule
-  /// is a function of each shard's aggregate OBDD size); they NEVER
-  /// depend on `threads`.
-  std::size_t chunk_size = 0;
-};
-
 /// Fault-sharded parallel symbolic fault simulator.
 ///
 /// The paper's hybrid engine is embarrassingly parallel across the
@@ -44,12 +30,22 @@ struct ParallelSymConfig {
 /// threaded by design; see bdd/bdd.h), and lets a pool of workers
 /// drain the chunk queue via an atomic cursor.
 ///
-/// When config.hybrid.trim is on, the live faults are first reordered
+/// Every shard's HybridFaultSim runs with this driver's SimOptions, so
+/// `node_limit` is per shard (per BDD manager): a shard enters its
+/// three-valued fallback window based on its own manager's live-node
+/// count. `threads` is the worker count (0 = one per hardware thread)
+/// and `chunk_size` the shard size (0 = kDefaultChunkSize);
+/// `options.telemetry`, when set, is shared by every shard — the
+/// instruments are thread-safe — and additionally receives a per-shard
+/// "shard" span, the parallel.shard_seconds histogram and the worker
+/// pool's statistics.
+///
+/// When options.trim is on, the live faults are first reordered
 /// so faults sharing a cone-of-influence signature become shard
 /// neighbours (cluster_live_order, analysis/cone.h): shard-mates then
 /// diverge over the same region of the circuit, maximizing reuse of
 /// the shard's one fault-free OBDD evaluation and its shared per-frame
-/// MOT equality products. When config.hybrid.sgraph is additionally
+/// MOT equality products. When options.sgraph is additionally
 /// on, the clustered order is stably partitioned by s-graph
 /// observation horizon, so faults that downgrade at the same frame —
 /// equivalently, whose cones avoid the same SCC-fed outputs — share
@@ -78,11 +74,11 @@ struct ParallelSymConfig {
 /// shards; used_fallback is the OR.
 class ParallelSymSim {
  public:
-  /// Validates the configuration like HybridFaultSim does (throws
-  /// std::invalid_argument / std::logic_error on bad limits or a
-  /// non-finalized netlist).
+  /// Validates the options like HybridFaultSim does (throws
+  /// std::invalid_argument when options.validate() fails and
+  /// std::logic_error on a non-finalized netlist).
   ParallelSymSim(const Netlist& netlist, std::vector<Fault> faults,
-                 ParallelSymConfig config = {});
+                 const SimOptions& options = {});
 
   /// Pre-classifies faults; non-Undetected entries are not simulated.
   void set_initial_status(std::vector<FaultStatus> status);
@@ -92,16 +88,7 @@ class ParallelSymSim {
   /// Pass nullptr (default) for zero overhead.
   void set_progress(ProgressSink* sink) noexcept { progress_ = sink; }
 
-  /// Telemetry context shared by every shard (see obs/telemetry.h):
-  /// each worker-chunk's HybridFaultSim reports into it concurrently
-  /// (its instruments are thread-safe by construction), the driver
-  /// adds a per-shard "shard" span, the parallel.shard_seconds
-  /// histogram and the worker pool's statistics. nullptr = off.
-  void set_telemetry(obs::Telemetry* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
-  /// Receiver of checkpoint snapshots (config.hybrid.checkpoint_interval
+  /// Receiver of checkpoint snapshots (options.checkpoint_interval
   /// must be nonzero for any to fire). Calls are serialized through
   /// the same mutex as progress callbacks; `chunk` and `fault_index`
   /// are translated to this driver's global chunk/fault numbering, so
@@ -133,13 +120,13 @@ class ParallelSymSim {
   /// Supplies a pre-built trimming plan in this fault list's global
   /// indexing (see HybridFaultSim::set_trim_plan); the driver slices
   /// it per chunk. Without it a structural plan is built once when
-  /// config.hybrid.trim is on. Ignored when trimming is off.
+  /// options.trim is on. Ignored when trimming is off.
   void set_trim_plan(TrimPlan plan);
 
   /// Supplies a pre-built s-graph plan in this fault list's global
   /// indexing (see HybridFaultSim::set_sgraph_plan); the driver slices
   /// it per chunk and folds its horizons into the shard assignment.
-  /// Without it a plan is built once when config.hybrid.sgraph is on.
+  /// Without it a plan is built once when options.sgraph is on.
   /// Ignored when the pass is off.
   void set_sgraph_plan(SgraphPlan plan);
 
@@ -154,11 +141,10 @@ class ParallelSymSim {
  private:
   const Netlist* netlist_;
   std::vector<Fault> faults_;
-  ParallelSymConfig config_;
+  SimOptions options_;
   std::vector<FaultStatus> initial_status_;
   ProgressSink* progress_ = nullptr;
   CheckpointSink* checkpoint_ = nullptr;
-  obs::Telemetry* telemetry_ = nullptr;
   std::vector<ChunkCheckpoint> resume_;
   std::vector<ConstVal> tied_;
   std::optional<TrimPlan> trim_plan_;

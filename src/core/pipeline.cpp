@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "analysis/implication.h"
@@ -51,12 +50,13 @@ void finish_stage(obs::Telemetry* telemetry, ProgressSink* progress,
 PipelineResult run_pipeline(const Netlist& netlist,
                             const std::vector<Fault>& faults,
                             const TestSequence& sequence,
-                            const PipelineConfig& config,
+                            const SimOptions& unchecked,
                             ProgressSink* progress,
                             CheckpointSink* checkpoint) {
+  const SimOptions options = unchecked.validated();
   PipelineResult result;
   result.detect_frame.assign(faults.size(), 0);
-  obs::Telemetry* const telemetry = config.telemetry;
+  obs::Telemetry* const telemetry = options.telemetry;
 
   // ---- Stage 0: sequence-independent static analysis ---------------------
   std::vector<FaultStatus> status(faults.size(), FaultStatus::Undetected);
@@ -66,7 +66,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
   // otherwise derive themselves. Only built when the analysis stage
   // paid for the engine anyway.
   std::optional<TrimPlan> trim_plan;
-  if (config.analysis) {
+  if (options.analysis) {
     std::optional<obs::SpanTracer::Span> span;
     if (telemetry != nullptr) span = telemetry->tracer.span("stage.analysis");
     begin_stage(telemetry, "analysis");
@@ -78,7 +78,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
     const ImplicationEngine eng(netlist);
     result.static_untestable = eng.classify(faults, status);
     if (eng.tied_constant_count() != 0) tied = eng.tied_constants();
-    if (config.run_symbolic && config.hybrid.trim) {
+    if (options.run_symbolic && options.trim) {
       trim_plan = build_trim_plan(eng, faults);
     }
     result.seconds_analysis = timer.elapsed_seconds();
@@ -98,7 +98,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
   }
 
   // ---- Stage 1: ID_X-red ------------------------------------------------
-  if (config.run_xred) {
+  if (options.run_xred) {
     std::optional<obs::SpanTracer::Span> span;
     if (telemetry != nullptr) span = telemetry->tracer.span("stage.xred");
     begin_stage(telemetry, "xred");
@@ -129,10 +129,10 @@ PipelineResult run_pipeline(const Netlist& netlist,
     begin_stage(telemetry, "sim3");
     Stopwatch timer;
     Sim3EngineConfig ec;
-    ec.threads = config.threads;
+    ec.threads = options.threads;
     ec.telemetry = telemetry;
     const std::unique_ptr<FaultSimulator3> sim =
-        make_fault_simulator3(config.sim3_backend, circuit, faults, ec);
+        make_fault_simulator3(options.sim3_backend, circuit, faults, ec);
     sim->set_initial_status(status);
     const FaultSim3Result r3 = sim->run(sequence);
     result.seconds_3v = timer.elapsed_seconds();
@@ -147,10 +147,10 @@ PipelineResult run_pipeline(const Netlist& netlist,
   for (const auto& frame : sequence) {
     for (Val3 v : frame) has_x_inputs |= !is_binary(v);
   }
-  if (config.run_symbolic && has_x_inputs) {
+  if (options.run_symbolic && has_x_inputs) {
     result.symbolic_skipped_x_inputs = true;
   }
-  if (config.run_symbolic && !has_x_inputs) {
+  if (options.run_symbolic && !has_x_inputs) {
     // X-redundant faults are *not* lost causes symbolically; re-enable
     // them alongside the three-valued leftovers.
     std::vector<FaultStatus> leftover = status;
@@ -166,8 +166,11 @@ PipelineResult run_pipeline(const Netlist& netlist,
     // so serial and parallel runs (and every shard) share it; either
     // engine would derive the identical plan on its own.
     std::optional<SgraphPlan> sgraph_plan;
-    if (config.hybrid.sgraph) {
+    if (options.sgraph) {
+      obs::SpanTracer::Span plan_span =
+          obs::open_span(telemetry, "plan.sgraph");
       sgraph_plan = build_sgraph_plan(netlist, faults);
+      plan_span.close();
       result.sgraph_sccs = sgraph_plan->nontrivial_sccs;
       if (telemetry != nullptr) {
         telemetry->metrics.counter("analysis.sgraph_sccs")
@@ -181,27 +184,21 @@ PipelineResult run_pipeline(const Netlist& netlist,
            obs::LogField::u64("faults", faults.size())});
     }
     HybridResult rs;
-    if (config.threads == 1) {
-      HybridFaultSim sym(netlist, faults, config.hybrid);
+    if (options.threads == 1) {
+      HybridFaultSim sym(netlist, faults, options);
       sym.set_circuit(circuit);
       sym.set_initial_status(leftover);
       sym.set_progress(progress);
       sym.set_checkpoint_sink(checkpoint);
-      sym.set_telemetry(telemetry);
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
       rs = sym.run(sequence);
     } else {
-      ParallelSymConfig pc;
-      pc.hybrid = config.hybrid;
-      pc.threads = config.threads;
-      pc.chunk_size = config.chunk_size;
-      ParallelSymSim sym(netlist, faults, pc);
+      ParallelSymSim sym(netlist, faults, options);
       sym.set_initial_status(leftover);
       sym.set_progress(progress);
       sym.set_checkpoint_sink(checkpoint);
-      sym.set_telemetry(telemetry);
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
@@ -243,20 +240,6 @@ PipelineResult run_pipeline(const Netlist& netlist,
 
   result.status = std::move(status);
   return result;
-}
-
-PipelineResult run_pipeline(const Netlist& netlist,
-                            const std::vector<Fault>& faults,
-                            const TestSequence& sequence,
-                            const SimOptions& options,
-                            ProgressSink* progress,
-                            CheckpointSink* checkpoint) {
-  const Expected<SimOptions, std::string> checked = options.validate();
-  if (!checked.has_value()) {
-    throw std::invalid_argument("SimOptions: " + checked.error());
-  }
-  return run_pipeline(netlist, faults, sequence,
-                      checked->to_pipeline_config(), progress, checkpoint);
 }
 
 }  // namespace motsim

@@ -14,42 +14,6 @@
 
 namespace motsim {
 
-/// Configuration of the full fault-simulation pipeline of the paper:
-/// ID_X-red -> three-valued simulation -> symbolic simulation of the
-/// remainder under the chosen observation strategy.
-///
-/// Compatibility note: new code should prefer the flat SimOptions
-/// (core/options.h); this struct remains as a thin wrapper (and the
-/// internal representation) for one release.
-struct PipelineConfig {
-  /// Run the sequence-independent static analysis before every other
-  /// stage (see SimOptions::analysis).
-  bool analysis = false;
-  /// Run ID_X-red before the three-valued stage (paper Section III).
-  bool run_xred = true;
-  /// Three-valued fault-simulation backend (sim3/fault_simulator.h).
-  /// Both backends are bit-identical by contract, so this is a pure
-  /// performance knob.
-  Sim3Backend sim3_backend = default_sim3_backend();
-  /// Skip the symbolic stage entirely (pure X01 run).
-  bool run_symbolic = true;
-  /// Worker threads of the symbolic stage: 1 = the serial
-  /// HybridFaultSim (exactly the historical path), 0 = one per
-  /// hardware thread, N >= 2 = fault-sharded ParallelSymSim. Results
-  /// are bit-identical for every N >= 2 and 0; see
-  /// core/parallel_sym_sim.h for when they match the serial engine.
-  std::size_t threads = 1;
-  /// Shard size of the parallel driver (0 = default); ignored when
-  /// `threads == 1`.
-  std::size_t chunk_size = 0;
-  /// Hybrid simulator settings for the symbolic stage; its `strategy`
-  /// field selects SOT / rMOT / MOT.
-  HybridConfig hybrid;
-  /// Telemetry context observing the run (see SimOptions::telemetry);
-  /// nullptr = off, one branch per instrumentation site.
-  obs::Telemetry* telemetry = nullptr;
-};
-
 /// Outcome of run_pipeline. `status` holds the final per-fault
 /// classification: X-redundant faults that the symbolic stage
 /// subsequently detected carry the symbolic Detected* status.
@@ -66,12 +30,12 @@ struct PipelineResult {
   /// overlap.
   std::size_t x_redundant = 0;
   /// Faults the static analysis proved undetectable by any sequence
-  /// (StaticXRed in `status`). 0 unless `config.analysis` was set.
+  /// (StaticXRed in `status`). 0 unless `options.analysis` was set.
   std::size_t static_x_redundant = 0;
   /// Faults the implication engine proved untestable by any sequence
   /// (StaticUntestable in `status`; disjoint from static_x_redundant —
   /// StaticXRed wins when both analyses flag a fault). 0 unless
-  /// `config.analysis` was set.
+  /// `options.analysis` was set.
   std::size_t static_untestable = 0;
   std::size_t detected_3v = 0;
   std::size_t detected_symbolic = 0;
@@ -98,7 +62,7 @@ struct PipelineResult {
   std::uint64_t faults_terminated_early = 0;
   std::uint64_t faultfree_evals_shared = 0;
   /// S-graph pass results (docs/ANALYSIS.md pass 6; zero when
-  /// `config.hybrid.sgraph` was off or the symbolic stage did not
+  /// `options.sgraph` was off or the symbolic stage did not
   /// run): nontrivial SCCs of the flip-flop dependency graph, and
   /// rMOT/MOT faults downgraded to SOT-equivalent updates once the
   /// frame index passed their observation horizon (one event per
@@ -123,28 +87,21 @@ struct PipelineResult {
 /// together with the three-valued leftovers — symbolic simulation can
 /// detect faults that are undetectable under three-valued logic.
 ///
+/// `options` is validated first (std::invalid_argument carrying the
+/// validate() message on failure).
+///
 /// `progress` (optional) observes the symbolic stage; see ProgressSink
-/// for the threading contract under `config.threads != 1`.
+/// for the threading contract under `options.threads != 1`.
 ///
 /// `checkpoint` (optional) receives symbolic-stage snapshots when
-/// `config.hybrid.checkpoint_interval != 0` (see core/checkpoint.h);
+/// `options.checkpoint_interval != 0` (see core/checkpoint.h);
 /// checkpointed *campaigns* — persistence, resume, incremental
 /// extension — live in store/campaign.h, which bypasses the
 /// three-valued stage for exact resumability.
 [[nodiscard]] PipelineResult run_pipeline(const Netlist& netlist,
                                           const std::vector<Fault>& faults,
                                           const TestSequence& sequence,
-                                          const PipelineConfig& config = {},
-                                          ProgressSink* progress = nullptr,
-                                          CheckpointSink* checkpoint = nullptr);
-
-/// SimOptions front door: validates the options (throws
-/// std::invalid_argument with the validation message on failure) and
-/// runs the pipeline.
-[[nodiscard]] PipelineResult run_pipeline(const Netlist& netlist,
-                                          const std::vector<Fault>& faults,
-                                          const TestSequence& sequence,
-                                          const SimOptions& options,
+                                          const SimOptions& options = {},
                                           ProgressSink* progress = nullptr,
                                           CheckpointSink* checkpoint = nullptr);
 

@@ -21,7 +21,6 @@
 #include "circuit/netlist.h"
 #include "circuit/stats.h"
 #include "circuit/transform.h"
-#include "circuit/validate.h"
 #include "faults/collapse.h"
 #include "faults/fault.h"
 #include "faults/fault_list.h"

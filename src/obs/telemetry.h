@@ -79,6 +79,14 @@ void log_event(Telemetry* telemetry, LogLevel level, std::string_view event,
                std::initializer_list<LogField> fields = {},
                std::string_view msg = {});
 
+/// Opens a span on the context's tracer; with `telemetry == nullptr`
+/// an inert span (no allocation, nothing recorded).
+[[nodiscard]] inline SpanTracer::Span open_span(Telemetry* telemetry,
+                                                const char* name) {
+  return telemetry == nullptr ? SpanTracer::Span{}
+                              : telemetry->tracer.span(name);
+}
+
 }  // namespace motsim::obs
 
 #endif  // MOTSIM_OBS_TELEMETRY_H

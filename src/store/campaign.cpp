@@ -197,14 +197,12 @@ Expected<CampaignResult, std::string> simulate_and_finish(
     CheckpointSink* tap, obs::Telemetry* telemetry, const EventClock& clock,
     std::optional<Sim3Backend> sim3_backend = std::nullopt) {
   store.set_telemetry(telemetry);
-  const SimOptions& opts = store.manifest().options;
-  ParallelSymConfig pc;
-  pc.hybrid = opts.to_hybrid_config();
-  pc.threads = threads.value_or(opts.threads);
-  pc.chunk_size = opts.chunk_size;
+  SimOptions opts = store.manifest().options;
+  if (threads.has_value()) opts.threads = *threads;
   // Like the thread count, the fallback-window backend never affects
   // results, so an invocation may override what the manifest recorded.
-  if (sim3_backend.has_value()) pc.hybrid.sim3_backend = *sim3_backend;
+  if (sim3_backend.has_value()) opts.sim3_backend = *sim3_backend;
+  opts.telemetry = telemetry;
 
   CampaignResult result;
   result.resumed = resumed;
@@ -222,11 +220,10 @@ Expected<CampaignResult, std::string> simulate_and_finish(
   StoreCheckpointSink ck_sink(store, tap, &clock, telemetry);
   StoreProgressSink ev_sink(store, progress, &clock, telemetry);
   try {
-    ParallelSymSim sym(netlist, faults, pc);
+    ParallelSymSim sym(netlist, faults, opts);
     sym.set_initial_status(std::move(initial_status));
     sym.set_progress(&ev_sink);
     sym.set_checkpoint_sink(&ck_sink);
-    sym.set_telemetry(telemetry);
     if (!resume.empty()) sym.set_resume(std::move(resume));
     if (opts.analysis) {
       // Recomputed from the netlist on every entry point (run, resume,

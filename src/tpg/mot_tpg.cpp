@@ -21,10 +21,10 @@ Score score_sequence(const Netlist& nl, const std::vector<Fault>& faults,
     s.status.assign(faults.size(), FaultStatus::Undetected);
     return s;
   }
-  HybridConfig hc;
-  hc.strategy = cfg.strategy;
-  hc.node_limit = cfg.node_limit;
-  HybridFaultSim sim(nl, faults, hc);
+  SimOptions options;
+  options.strategy = cfg.strategy;
+  options.node_limit = cfg.node_limit;
+  HybridFaultSim sim(nl, faults, options);
   const HybridResult r = sim.run(seq);
   s.detected = r.detected_count;
   s.status = r.status;

@@ -5,10 +5,10 @@
 
 #include <set>
 
+#include "analysis/lint.h"
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "bench_data/synth_gen.h"
-#include "circuit/validate.h"
 #include "faults/collapse.h"
 #include "sim3/fault_sim3.h"
 #include "sim3/good_sim3.h"
@@ -25,7 +25,7 @@ TEST(S27, ExactInterface) {
   EXPECT_EQ(nl.output_count(), 1u);
   EXPECT_EQ(nl.dff_count(), 3u);
   EXPECT_EQ(nl.gate_count(), 10u);
-  EXPECT_TRUE(validate(nl).clean());
+  EXPECT_TRUE(run_lint(nl).clean());
 }
 
 TEST(S27, KnownStructure) {
@@ -104,11 +104,12 @@ TEST_P(SynthGenStyles, NoDeadOrUnobservableLogic) {
   SynthSpec spec{"cl", 5, 3, 4, 80, style,
                  static_cast<std::uint64_t>(seed) * 7 + 1};
   const Netlist nl = generate_circuit(spec);
-  const ValidationReport report = validate(nl);
-  EXPECT_TRUE(report.dangling_nets.empty())
-      << to_cstring(style) << ": " << report.messages.front();
-  EXPECT_TRUE(report.unobservable_nodes.empty());
-  EXPECT_TRUE(report.duplicate_fanin_gates.empty());
+  const DiagnosticReport report = run_lint(nl);
+  EXPECT_FALSE(report.has("lint.dangling-net")) << to_cstring(style) << ": "
+                                                << report.to_text();
+  EXPECT_FALSE(report.has("lint.floating-input")) << report.to_text();
+  EXPECT_FALSE(report.has("lint.unobservable")) << report.to_text();
+  EXPECT_FALSE(report.has("lint.duplicate-fanin")) << report.to_text();
 }
 
 TEST_P(SynthGenStyles, GateCountNearTarget) {
@@ -215,9 +216,10 @@ TEST(Registry, EveryRosterEntryGenerates) {
     const Netlist nl = make_benchmark(info);
     EXPECT_EQ(nl.input_count(), info.spec.inputs) << info.spec.name;
     EXPECT_EQ(nl.dff_count(), info.spec.dffs) << info.spec.name;
-    const ValidationReport report = validate(nl);
-    EXPECT_TRUE(report.dangling_nets.empty()) << info.spec.name;
-    EXPECT_TRUE(report.unobservable_nodes.empty()) << info.spec.name;
+    const DiagnosticReport report = run_lint(nl);
+    EXPECT_FALSE(report.has("lint.dangling-net")) << info.spec.name;
+    EXPECT_FALSE(report.has("lint.floating-input")) << info.spec.name;
+    EXPECT_FALSE(report.has("lint.unobservable")) << info.spec.name;
     // A usable fault list exists.
     const CollapsedFaultList c(nl);
     EXPECT_GT(c.size(), 10u) << info.spec.name;
@@ -228,7 +230,9 @@ TEST(Registry, GiantsGenerateAtScale) {
   const Netlist nl = make_benchmark("s38584.1");
   EXPECT_GT(nl.gate_count(), 10000u);
   EXPECT_EQ(nl.dff_count(), 1426u);
-  EXPECT_TRUE(validate(nl).dangling_nets.empty());
+  const DiagnosticReport report = run_lint(nl);
+  EXPECT_FALSE(report.has("lint.dangling-net"));
+  EXPECT_FALSE(report.has("lint.floating-input"));
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include "bench_data/s27.h"
 #include "circuit/bench_io.h"
-#include "circuit/validate.h"
 
 namespace motsim {
 namespace {

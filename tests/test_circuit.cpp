@@ -3,12 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/lint.h"
 #include "bench_data/s27.h"
 #include "circuit/ffr.h"
 #include "circuit/levelize.h"
 #include "circuit/netlist.h"
 #include "circuit/stats.h"
-#include "circuit/validate.h"
 #include "faults/collapse.h"
 
 namespace motsim {
@@ -334,15 +334,15 @@ TEST(CircuitStats, AttachCollapseFillsClassCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// validate
+// structural lint
 // ---------------------------------------------------------------------------
 
-TEST(Validate, CleanCircuitHasNoFindings) {
-  const ValidationReport report = validate(make_s27());
-  EXPECT_TRUE(report.clean()) << report.messages.front();
+TEST(Lint, CleanCircuitHasNoFindings) {
+  const DiagnosticReport report = run_lint(make_s27());
+  EXPECT_TRUE(report.clean()) << report.to_text();
 }
 
-TEST(Validate, DetectsDanglingNet) {
+TEST(Lint, DetectsDanglingNet) {
   Netlist nl("dangling");
   const NodeIndex a = nl.add_input("a");
   const NodeIndex g = nl.add_gate(GateType::Not, {a}, "dead");
@@ -350,22 +350,24 @@ TEST(Validate, DetectsDanglingNet) {
   const NodeIndex g2 = nl.add_gate(GateType::Not, {a}, "alive");
   nl.mark_output(g2);
   nl.finalize();
-  const ValidationReport report = validate(nl);
-  ASSERT_EQ(report.dangling_nets.size(), 1u);
-  EXPECT_EQ(nl.gate(report.dangling_nets[0]).name, "dead");
+  const DiagnosticReport report = run_lint(nl);
+  const std::vector<NodeIndex> dangling = report.nodes_with("lint.dangling-net");
+  ASSERT_EQ(dangling.size(), 1u);
+  EXPECT_EQ(nl.gate(dangling[0]).name, "dead");
   // The dead cone is also unobservable.
-  EXPECT_FALSE(report.unobservable_nodes.empty());
+  EXPECT_TRUE(report.has("lint.unobservable"));
 }
 
-TEST(Validate, DetectsDuplicateFanin) {
+TEST(Lint, DetectsDuplicateFanin) {
   Netlist nl("dup");
   const NodeIndex a = nl.add_input("a");
   const NodeIndex g = nl.add_gate(GateType::And, {a, a}, "g");
   nl.mark_output(g);
   nl.finalize();
-  const ValidationReport report = validate(nl);
-  ASSERT_EQ(report.duplicate_fanin_gates.size(), 1u);
-  EXPECT_EQ(report.duplicate_fanin_gates[0], g);
+  const std::vector<NodeIndex> dup =
+      run_lint(nl).nodes_with("lint.duplicate-fanin");
+  ASSERT_EQ(dup.size(), 1u);
+  EXPECT_EQ(dup[0], g);
 }
 
 }  // namespace

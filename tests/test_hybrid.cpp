@@ -29,15 +29,15 @@ using testing::ref_rmot_detectable;
 using testing::ref_sot_detectable;
 using testing::small_random_circuit;
 
-HybridConfig ample(Strategy s) {
-  HybridConfig cfg;
+SimOptions ample(Strategy s) {
+  SimOptions cfg;
   cfg.strategy = s;
   cfg.node_limit = 1u << 22;  // effectively unlimited
   return cfg;
 }
 
-HybridConfig tight(Strategy s, std::size_t limit, std::size_t window = 2) {
-  HybridConfig cfg;
+SimOptions tight(Strategy s, std::size_t limit, std::size_t window = 2) {
+  SimOptions cfg;
   cfg.strategy = s;
   cfg.node_limit = limit;
   cfg.fallback_frames = window;
@@ -172,10 +172,10 @@ TEST(Hybrid, PeakNodesRespectsOrderOfMagnitude) {
 TEST(Hybrid, InvalidConfigRejected) {
   const Netlist nl = make_s27();
   const CollapsedFaultList c(nl);
-  HybridConfig cfg;
+  SimOptions cfg;
   cfg.node_limit = 0;
   EXPECT_THROW(HybridFaultSim(nl, c.faults(), cfg), std::invalid_argument);
-  cfg = HybridConfig{};
+  cfg = SimOptions{};
   cfg.fallback_frames = 0;
   EXPECT_THROW(HybridFaultSim(nl, c.faults(), cfg), std::invalid_argument);
 }
@@ -228,15 +228,16 @@ struct OpCounts {
   std::uint64_t peak_live_nodes = 0;
 };
 
-OpCounts run_counted(const char* circuit, const HybridConfig& cfg,
+OpCounts run_counted(const char* circuit, const SimOptions& cfg,
                      std::size_t vectors, std::uint64_t seed) {
   const Netlist nl = make_benchmark(circuit);
   const CollapsedFaultList c(nl);
   Rng rng(seed);
   const TestSequence seq = random_sequence(nl, vectors, rng);
   obs::Telemetry telemetry;
-  HybridFaultSim sim(nl, c.faults(), cfg);
-  sim.set_telemetry(&telemetry);
+  SimOptions options = cfg;
+  options.telemetry = &telemetry;
+  HybridFaultSim sim(nl, c.faults(), options);
   const HybridResult r = sim.run(seq);
   obs::MetricsRegistry& m = telemetry.metrics;
   OpCounts out;
@@ -255,7 +256,7 @@ OpCounts run_counted(const char* circuit, const HybridConfig& cfg,
 }
 
 TEST(HybridOpSequence, FallbackWindowsAndCountersArePinned) {
-  HybridConfig cfg;
+  SimOptions cfg;
   cfg.strategy = Strategy::Mot;
   cfg.node_limit = 2000;
   const OpCounts got = run_counted("s526", cfg, 120, 526);
@@ -272,9 +273,9 @@ TEST(HybridOpSequence, FallbackWindowsAndCountersArePinned) {
 }
 
 TEST(HybridOpSequence, MidFrameCollectionsArePinned) {
-  HybridConfig cfg;
+  SimOptions cfg;
   cfg.strategy = Strategy::Mot;
-  cfg.bdd.auto_gc_floor = 256;
+  cfg.bdd_auto_gc_floor = 256;
   const OpCounts got = run_counted("s953", cfg, 60, 953);
   // More collections than symbolic frames: automatic GC fired inside
   // frames.
@@ -320,7 +321,7 @@ TEST_P(HybridBinaryHandOff, MatchesPureSymbolic) {
     for (Sim3Backend backend : {Sim3Backend::Event, Sim3Backend::BitPar}) {
       for (const bool trim : {false, true}) {
         for (const bool sgraph : {false, true}) {
-          HybridConfig cfg = ample(s);
+          SimOptions cfg = ample(s);
           cfg.sim3_backend = backend;
           cfg.trim = trim;
           cfg.sgraph = sgraph;
@@ -405,7 +406,7 @@ TEST(HybridBinaryHandOff, CheckpointResumeAcrossBinaryMode) {
   const CollapsedFaultList c(nl);
   Rng rng(34);
   const TestSequence seq = random_sequence(nl, 40, rng);
-  HybridConfig cfg = ample(Strategy::Mot);
+  SimOptions cfg = ample(Strategy::Mot);
   cfg.checkpoint_interval = 8;
 
   RecordingSink full;

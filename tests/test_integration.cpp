@@ -43,7 +43,7 @@ PipelineResult run_pipeline(const Netlist& nl, const TestSequence& seq) {
   }
   for (Strategy strategy :
        {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    HybridConfig cfg;
+    SimOptions cfg;
     cfg.strategy = strategy;
     cfg.node_limit = 30000;
     HybridFaultSim sym(nl, c.faults(), cfg);
@@ -138,7 +138,7 @@ TEST(Integration, DetectFramesAreWithinSequence) {
   Rng rng(29);
   const TestSequence seq = random_sequence(nl, 40, rng);
   const CollapsedFaultList c(nl);
-  HybridConfig cfg;
+  SimOptions cfg;
   cfg.strategy = Strategy::Mot;
   HybridFaultSim sim(nl, c.faults(), cfg);
   const auto r = sim.run(seq);

@@ -41,7 +41,7 @@ TEST(MotTpg, ReportedScoreMatchesReplay) {
       generate_mot_sequence(nl, c.faults(), small_config(Strategy::Mot, 7));
   ASSERT_FALSE(r.sequence.empty());
 
-  HybridConfig hc;
+  SimOptions hc;
   hc.strategy = Strategy::Mot;
   HybridFaultSim sim(nl, c.faults(), hc);
   const HybridResult replay = sim.run(r.sequence);

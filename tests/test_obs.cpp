@@ -692,6 +692,48 @@ TEST(PipelineTelemetry, TraceContainsStagesWindowsAndShards) {
   EXPECT_NE(json.find("\"shard\""), std::string::npos);
 }
 
+TEST(PipelineTelemetry, PlanSpansNestUnderTheSymbolicStage) {
+  const PipelineRun w(16);
+  // Serial: the pipeline builds the s-graph plan, the engine its trim
+  // plan. Sharded: the driver also builds the cluster order.
+  for (const std::size_t threads : {1u, 2u}) {
+    obs::Telemetry telemetry;
+    SimOptions opts;
+    opts.threads = threads;
+    opts.telemetry = &telemetry;
+    (void)run_pipeline(w.nl, w.faults.faults(), w.seq, opts);
+
+    const std::vector<obs::TraceEvent> events = telemetry.tracer.events();
+    const auto stage = std::find_if(
+        events.begin(), events.end(),
+        [](const obs::TraceEvent& e) { return e.name == "stage.symbolic"; });
+    ASSERT_NE(stage, events.end());
+    std::vector<std::string> want{"plan.sgraph", "plan.trim"};
+    if (threads > 1) want.push_back("plan.cluster");
+    for (const std::string& name : want) {
+      const auto plan = std::find_if(
+          events.begin(), events.end(),
+          [&name](const obs::TraceEvent& e) { return e.name == name; });
+      ASSERT_NE(plan, events.end()) << name << " threads=" << threads;
+      EXPECT_EQ(plan->tid, stage->tid) << name;
+      EXPECT_GE(plan->start_seconds, stage->start_seconds) << name;
+      EXPECT_LE(plan->start_seconds + plan->duration_seconds,
+                stage->start_seconds + stage->duration_seconds)
+          << name;
+    }
+
+    // With both passes off no plan is built, so no plan span appears.
+    obs::Telemetry quiet;
+    opts.trim = false;
+    opts.sgraph = false;
+    opts.telemetry = &quiet;
+    (void)run_pipeline(w.nl, w.faults.faults(), w.seq, opts);
+    for (const obs::TraceEvent& e : quiet.tracer.events()) {
+      EXPECT_NE(e.name.rfind("plan.", 0), 0u) << e.name;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Campaign event stream: wall-clock "t" fields
 // ---------------------------------------------------------------------------

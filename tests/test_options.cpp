@@ -1,11 +1,13 @@
-// The unified SimOptions surface (core/options.h): validation,
-// round-trips to/from the legacy nested configs, and the Expected
-// error carrier.
+// The run configuration SimOptions (core/options.h): validation, the
+// paper-protocol defaults, the derived BDD settings, the entry checks
+// of every engine, and the Expected error carrier.
 
 #include <gtest/gtest.h>
 
 #include "bench_data/s27.h"
+#include "core/hybrid_sim.h"
 #include "core/options.h"
+#include "core/parallel_sym_sim.h"
 #include "core/pipeline.h"
 #include "faults/collapse.h"
 #include "tpg/sequences.h"
@@ -97,95 +99,90 @@ TEST(SimOptions, RejectsCorruptEnums) {
 }
 
 // ---------------------------------------------------------------------------
-// Conversions
+// Defaults and derived BDD settings
 // ---------------------------------------------------------------------------
 
-TEST(SimOptions, HybridConfigMapping) {
+TEST(SimOptions, DefaultsAreThePaperProtocol) {
+  // A default SimOptions runs the paper's experiment (Section V): MOT,
+  // the 30,000-node OBDD space limit and 8-frame fallback windows.
+  const SimOptions o;
+  EXPECT_EQ(o.strategy, Strategy::Mot);
+  EXPECT_EQ(o.layout, VarLayout::Interleaved);
+  EXPECT_EQ(o.node_limit, 30000u);
+  EXPECT_EQ(o.fallback_frames, 8u);
+  EXPECT_EQ(o.hard_limit_factor, 8u);
+  EXPECT_EQ(o.checkpoint_interval, 0u);
+  EXPECT_TRUE(o.trim);
+  EXPECT_TRUE(o.sgraph);
+  EXPECT_EQ(o.threads, 1u);
+  EXPECT_EQ(o.chunk_size, 0u);
+  EXPECT_TRUE(o.run_xred);
+  EXPECT_TRUE(o.run_symbolic);
+  EXPECT_FALSE(o.analysis);
+  EXPECT_EQ(o.sim3_backend, default_sim3_backend());
+  EXPECT_EQ(o.bdd_initial_capacity, 1u << 12);
+  EXPECT_EQ(o.bdd_cache_size_log2, 16u);
+  EXPECT_EQ(o.bdd_auto_gc_floor, 1u << 16);
+  EXPECT_EQ(o.telemetry, nullptr);
+}
+
+TEST(SimOptions, BddConfigCarriesTheHardLimit) {
   SimOptions o;
-  o.strategy = Strategy::Rmot;
-  o.layout = VarLayout::Blocked;
   o.node_limit = 1234;
-  o.fallback_frames = 5;
   o.hard_limit_factor = 3;
-  o.bdd_cache_size_log2 = 18;
-
-  const HybridConfig h = o.to_hybrid_config();
-  EXPECT_EQ(h.strategy, Strategy::Rmot);
-  EXPECT_EQ(h.layout, VarLayout::Blocked);
-  EXPECT_EQ(h.node_limit, 1234u);
-  EXPECT_EQ(h.fallback_frames, 5u);
-  EXPECT_EQ(h.hard_limit_factor, 3u);
-  EXPECT_EQ(h.bdd.cache_size_log2, 18u);
-}
-
-TEST(SimOptions, PipelineConfigRoundTrip) {
-  SimOptions o;
-  o.run_xred = false;
-  o.sim3_backend = Sim3Backend::BitPar;
-  o.run_symbolic = true;
-  o.strategy = Strategy::Sot;
-  o.layout = VarLayout::Blocked;
-  o.node_limit = 777;
-  o.fallback_frames = 3;
-  o.hard_limit_factor = 2;
-  o.threads = 4;
-  o.chunk_size = 32;
   o.bdd_initial_capacity = 1u << 10;
-  o.bdd_cache_size_log2 = 14;
+  o.bdd_cache_size_log2 = 18;
   o.bdd_auto_gc_floor = 1u << 12;
-
-  const SimOptions back =
-      SimOptions::from_pipeline_config(o.to_pipeline_config());
-  // `seed` is the one field PipelineConfig never carried; everything
-  // else must survive the round trip.
-  SimOptions expected = o;
-  expected.seed = SimOptions{}.seed;
-  EXPECT_EQ(back, expected);
-}
-
-TEST(SimOptions, DefaultsMatchLegacyDefaults) {
-  // A default SimOptions must reproduce the legacy default configs
-  // exactly — that is the compatibility contract.
-  const PipelineConfig legacy;
-  const PipelineConfig converted = SimOptions{}.to_pipeline_config();
-  EXPECT_EQ(converted.run_xred, legacy.run_xred);
-  EXPECT_EQ(converted.sim3_backend, legacy.sim3_backend);
-  EXPECT_EQ(converted.run_symbolic, legacy.run_symbolic);
-  EXPECT_EQ(converted.threads, legacy.threads);
-  EXPECT_EQ(converted.hybrid.strategy, legacy.hybrid.strategy);
-  EXPECT_EQ(converted.hybrid.node_limit, legacy.hybrid.node_limit);
-  EXPECT_EQ(converted.hybrid.fallback_frames, legacy.hybrid.fallback_frames);
-  EXPECT_EQ(converted.hybrid.bdd.cache_size_log2,
-            legacy.hybrid.bdd.cache_size_log2);
+  const bdd::BddConfig c = o.to_bdd_config();
+  EXPECT_EQ(c.hard_node_limit, 1234u * 3u);
+  EXPECT_EQ(c.initial_capacity, 1u << 10);
+  EXPECT_EQ(c.cache_size_log2, 18u);
+  EXPECT_EQ(c.auto_gc_floor, 1u << 12);
 }
 
 // ---------------------------------------------------------------------------
-// run_pipeline(SimOptions)
+// Every entry point validates
 // ---------------------------------------------------------------------------
 
-TEST(SimOptions, PipelineOverloadMatchesLegacyPath) {
-  const Netlist nl = make_s27();
-  const CollapsedFaultList faults(nl);
-  Rng rng(11);
-  const TestSequence seq = random_sequence(nl, 48, rng);
-
-  SimOptions o;
-  o.strategy = Strategy::Mot;
-  const PipelineResult via_options = run_pipeline(nl, faults.faults(), seq, o);
-  const PipelineResult via_legacy =
-      run_pipeline(nl, faults.faults(), seq, o.to_pipeline_config());
-  EXPECT_EQ(via_options.status, via_legacy.status);
-  EXPECT_EQ(via_options.detect_frame, via_legacy.detect_frame);
+/// Runs `entry` and returns the std::invalid_argument message it
+/// threw, or "" when it did not throw one.
+template <typename F>
+std::string invalid_argument_of(F&& entry) {
+  try {
+    entry();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(SimOptions, PipelineOverloadThrowsOnInvalid) {
+TEST(SimOptions, EveryEntryPointRejectsInvalidOptions) {
   const Netlist nl = make_s27();
   const CollapsedFaultList faults(nl);
   const TestSequence seq = sequence_from_strings({"0000"});
-  SimOptions o;
-  o.node_limit = 0;
-  EXPECT_THROW((void)run_pipeline(nl, faults.faults(), seq, o),
-               std::invalid_argument);
+
+  SimOptions zero_limit;
+  zero_limit.node_limit = 0;
+  SimOptions huge_cache;  // 1 << 40 cache entries; 64 is an undefined shift
+  huge_cache.bdd_cache_size_log2 = 40;
+  for (const SimOptions& o : {zero_limit, huge_cache}) {
+    const std::string expected = "SimOptions: " + o.validate().error();
+    EXPECT_EQ(invalid_argument_of([&] {
+                HybridFaultSim sim(nl, faults.faults(), o);
+              }),
+              expected);
+    EXPECT_EQ(invalid_argument_of([&] {
+                ParallelSymSim sim(nl, faults.faults(), o);
+              }),
+              expected);
+    EXPECT_EQ(invalid_argument_of([&] {
+                (void)run_pipeline(nl, faults.faults(), seq, o);
+              }),
+              expected);
+  }
+  EXPECT_EQ(zero_limit.validate().error(), "node_limit must be positive");
+  EXPECT_EQ(huge_cache.validate().error(),
+            "bdd_cache_size_log2 must be in [4, 30]");
 }
 
 }  // namespace

@@ -82,9 +82,9 @@ HybridResult run_sharded(const Netlist& nl, const std::vector<Fault>& faults,
                          std::size_t node_limit = 30000,
                          std::size_t chunk_size = 0,
                          ProgressSink* sink = nullptr) {
-  ParallelSymConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
-  cfg.hybrid.node_limit = node_limit;
+  SimOptions cfg;
+  cfg.strategy = Strategy::Mot;
+  cfg.node_limit = node_limit;
   cfg.threads = threads;
   cfg.chunk_size = chunk_size;
   ParallelSymSim sim(nl, faults, cfg);
@@ -98,7 +98,7 @@ TEST(ParallelSymSim, MatchesSerialEngineWithoutFallback) {
   Rng rng(7);
   const TestSequence seq = random_sequence(nl, 40, rng);
 
-  HybridConfig hc;
+  SimOptions hc;
   hc.strategy = Strategy::Mot;
   HybridFaultSim serial(nl, faults.faults(), hc);
   const HybridResult rs = serial.run(seq);
@@ -191,8 +191,8 @@ TEST(ParallelSymSim, RespectsInitialStatusAndMergesCounters) {
     initial[i] = FaultStatus::DetectedSim3;
   }
 
-  ParallelSymConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
+  SimOptions cfg;
+  cfg.strategy = Strategy::Mot;
   cfg.threads = 4;
   cfg.chunk_size = 8;
   ParallelSymSim sim(nl, faults.faults(), cfg);
@@ -223,7 +223,7 @@ TEST(ParallelSymSim, AllFaultsPreclassifiedIsANoop) {
   const Netlist nl = make_s27();
   const CollapsedFaultList faults(nl);
   std::vector<FaultStatus> initial(faults.size(), FaultStatus::DetectedSim3);
-  ParallelSymConfig cfg;
+  SimOptions cfg;
   cfg.threads = 4;
   ParallelSymSim sim(nl, faults.faults(), cfg);
   sim.set_initial_status(initial);
@@ -236,8 +236,8 @@ TEST(ParallelSymSim, AllFaultsPreclassifiedIsANoop) {
 TEST(ParallelSymSim, RejectsBadConfigAndWrongStatusSize) {
   const Netlist nl = make_s27();
   const CollapsedFaultList faults(nl);
-  ParallelSymConfig bad;
-  bad.hybrid.node_limit = 0;
+  SimOptions bad;
+  bad.node_limit = 0;
   EXPECT_THROW(ParallelSymSim(nl, faults.faults(), bad),
                std::invalid_argument);
 
@@ -301,13 +301,13 @@ TEST(PipelineThreads, ShardedStageMatchesSerialOnRegistryCircuits) {
     Rng rng(31);
     const TestSequence seq = random_sequence(nl, 40, rng);
 
-    PipelineConfig serial;
-    serial.hybrid.strategy = Strategy::Mot;
+    SimOptions serial;
+    serial.strategy = Strategy::Mot;
     const PipelineResult r1 = run_pipeline(nl, faults.faults(), seq, serial);
     ASSERT_FALSE(r1.used_fallback) << name;
 
     for (std::size_t threads : {2u, 4u, 8u}) {
-      PipelineConfig sharded = serial;
+      SimOptions sharded = serial;
       sharded.threads = threads;
       const PipelineResult rn =
           run_pipeline(nl, faults.faults(), seq, sharded);
@@ -324,8 +324,8 @@ TEST(PipelineThreads, ThreadsZeroUsesHardwareDefault) {
   Rng rng(37);
   const TestSequence seq = random_sequence(nl, 24, rng);
 
-  PipelineConfig serial;
-  PipelineConfig all_cores;
+  SimOptions serial;
+  SimOptions all_cores;
   all_cores.threads = 0;
   const PipelineResult r1 = run_pipeline(nl, faults.faults(), seq, serial);
   const PipelineResult r0 = run_pipeline(nl, faults.faults(), seq, all_cores);

@@ -37,10 +37,10 @@ TEST(Pipeline, ParallelAndSerialAgree) {
   Rng rng(2);
   const TestSequence seq = random_sequence(nl, 50, rng);
 
-  PipelineConfig serial_cfg;
+  SimOptions serial_cfg;
   serial_cfg.run_symbolic = false;
   serial_cfg.sim3_backend = Sim3Backend::Event;
-  PipelineConfig parallel_cfg = serial_cfg;
+  SimOptions parallel_cfg = serial_cfg;
   parallel_cfg.sim3_backend = Sim3Backend::BitPar;
 
   const PipelineResult rs = run_pipeline(nl, faults.faults(), seq, serial_cfg);
@@ -56,9 +56,9 @@ TEST(Pipeline, NoXredStillDetectsTheSameFaults) {
   Rng rng(3);
   const TestSequence seq = random_sequence(nl, 50, rng);
 
-  PipelineConfig with;
+  SimOptions with;
   with.run_symbolic = false;
-  PipelineConfig without = with;
+  SimOptions without = with;
   without.run_xred = false;
 
   const PipelineResult ra = run_pipeline(nl, faults.faults(), seq, with);
@@ -73,8 +73,8 @@ TEST(Pipeline, SymbolicStageAddsOnCounter) {
   Rng rng(4);
   const TestSequence seq = random_sequence(nl, 80, rng);
 
-  PipelineConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
+  SimOptions cfg;
+  cfg.strategy = Strategy::Mot;
   const PipelineResult r = run_pipeline(nl, faults.faults(), seq, cfg);
   EXPECT_GT(r.detected_symbolic, 0u);
   // Symbolic detections show up with the MOT status in the merged
@@ -92,8 +92,8 @@ TEST(Pipeline, StrategyMonotonicity) {
   std::size_t detected[3];
   int k = 0;
   for (Strategy st : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
-    PipelineConfig cfg;
-    cfg.hybrid.strategy = st;
+    SimOptions cfg;
+    cfg.strategy = st;
     detected[k++] =
         run_pipeline(nl, faults.faults(), seq, cfg).summary().detected_total();
   }
@@ -121,8 +121,8 @@ TEST(Pipeline, DetectFrameCoversEveryDetectedFault) {
   Rng rng(6);
   const TestSequence seq = random_sequence(nl, 50, rng);
 
-  PipelineConfig cfg;
-  cfg.hybrid.strategy = Strategy::Mot;
+  SimOptions cfg;
+  cfg.strategy = Strategy::Mot;
   const PipelineResult r = run_pipeline(nl, faults.faults(), seq, cfg);
   ASSERT_EQ(r.detect_frame.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -143,7 +143,7 @@ TEST(Pipeline, DetectFrameMatchesDirectThreeValuedRun) {
   Rng rng(7);
   const TestSequence seq = random_sequence(nl, 40, rng);
 
-  PipelineConfig cfg;
+  SimOptions cfg;
   cfg.run_xred = false;
   cfg.run_symbolic = false;
   const PipelineResult r = run_pipeline(nl, faults.faults(), seq, cfg);
@@ -159,9 +159,9 @@ TEST(Pipeline, DetectFrameIsThreadCountInvariant) {
   Rng rng(8);
   const TestSequence seq = random_sequence(nl, 60, rng);
 
-  PipelineConfig serial;
-  serial.hybrid.strategy = Strategy::Mot;
-  PipelineConfig sharded = serial;
+  SimOptions serial;
+  serial.strategy = Strategy::Mot;
+  SimOptions sharded = serial;
   sharded.threads = 4;
   const PipelineResult r1 = run_pipeline(nl, faults.faults(), seq, serial);
   const PipelineResult r4 = run_pipeline(nl, faults.faults(), seq, sharded);

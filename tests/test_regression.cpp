@@ -32,9 +32,9 @@ PipelineResult run_fixed(const char* name, Strategy strategy) {
   const CollapsedFaultList faults(nl);
   Rng rng(20260707);  // fixed workload seed
   const TestSequence seq = random_sequence(nl, 80, rng);
-  PipelineConfig cfg;
-  cfg.hybrid.strategy = strategy;
-  cfg.hybrid.node_limit = 30000;
+  SimOptions cfg;
+  cfg.strategy = strategy;
+  cfg.node_limit = 30000;
   return run_pipeline(nl, faults.faults(), seq, cfg);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
+#include "analysis/lint.h"
 #include "analysis/sgraph.h"
 #include "analysis/testability.h"
 #include "bdd/bdd.h"
@@ -20,7 +21,6 @@
 #include "bench_data/synth_gen.h"
 #include "circuit/bench_io.h"
 #include "circuit/stats.h"
-#include "circuit/validate.h"
 #include "core/hybrid_sim.h"
 #include "core/parallel_sym_sim.h"
 #include "core/sym_fault_sim.h"
@@ -203,7 +203,7 @@ TEST(SgraphBenchIo, FeedbackReferencesSignalsDefinedLater) {
       "O = OR(Q1, Q2)\n"
       "D2 = NAND(Q1, A)\n";
   const Netlist nl = parse_bench_string(text, "fwd");
-  EXPECT_TRUE(validate(nl).clean());
+  EXPECT_TRUE(run_lint(nl).clean());
   ASSERT_EQ(nl.dff_count(), 2u);
 
   const SgraphInfo info = build_sgraph(nl);
@@ -352,8 +352,8 @@ TEST_P(SgraphIdentity, MultiStrategyMatchesPlain) {
   expect_same_result(plain.mot, guided.mot, nl, c.faults(), "mot");
 }
 
-HybridConfig ample(Strategy s, bool sgraph) {
-  HybridConfig cfg;
+SimOptions ample(Strategy s, bool sgraph) {
+  SimOptions cfg;
   cfg.strategy = s;
   cfg.node_limit = 1u << 22;
   cfg.sgraph = sgraph;
@@ -402,8 +402,7 @@ TEST(SgraphIdentityBench, AcyclicPipelineDowngradesEveryEngine) {
     EXPECT_EQ(rp.mot_downgrades, 0u) << to_cstring(s);
 
     for (std::size_t threads : {2u, 4u}) {
-      ParallelSymConfig pc;
-      pc.hybrid = ample(s, true);
+      SimOptions pc = ample(s, true);
       pc.threads = threads;
       pc.chunk_size = 16;
       ParallelSymSim par(nl, c.faults(), pc);
@@ -428,8 +427,7 @@ TEST(SgraphPlumbing, MisalignedPlanIsRejected) {
   HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot, true));
   EXPECT_THROW(hybrid.set_sgraph_plan(bad), std::invalid_argument);
 
-  ParallelSymConfig pc;
-  pc.hybrid = ample(Strategy::Mot, true);
+  SimOptions pc = ample(Strategy::Mot, true);
   pc.threads = 2;
   ParallelSymSim par(nl, c.faults(), pc);
   EXPECT_THROW(par.set_sgraph_plan(bad), std::invalid_argument);

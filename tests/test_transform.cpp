@@ -4,10 +4,10 @@
 
 #include <set>
 
+#include "analysis/lint.h"
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "circuit/transform.h"
-#include "circuit/validate.h"
 #include "core/symbolic_fsm.h"
 #include "faults/collapse.h"
 #include "faults/sampling.h"
@@ -28,7 +28,7 @@ TEST(ResetTransform, StructureIsValid) {
   EXPECT_EQ(rst.dff_count(), nl.dff_count());
   // One NOT plus one AND per flip-flop.
   EXPECT_EQ(rst.gate_count(), nl.gate_count() + 1 + nl.dff_count());
-  EXPECT_TRUE(validate(rst).clean());
+  EXPECT_TRUE(run_lint(rst).clean());
   EXPECT_NE(rst.find("reset"), kNoNode);
 }
 

@@ -247,8 +247,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TrimIdentity,
 // space pressure exists; see docs/PARALLEL.md)
 // ---------------------------------------------------------------------------
 
-HybridConfig ample(Strategy s, bool trim) {
-  HybridConfig cfg;
+SimOptions ample(Strategy s, bool trim) {
+  SimOptions cfg;
   cfg.strategy = s;
   cfg.node_limit = 1u << 22;
   cfg.trim = trim;
@@ -289,8 +289,7 @@ TEST(TrimIdentityBench, S344AllStrategiesAllEngines) {
     // Parallel, every thread count, trimmed: identical to BOTH serial
     // runs (which already match each other).
     for (std::size_t threads : {1u, 2u, 4u}) {
-      ParallelSymConfig pc;
-      pc.hybrid = ample(s, true);
+      SimOptions pc = ample(s, true);
       pc.threads = threads;
       pc.chunk_size = 48;
       ParallelSymSim par(nl, c.faults(), pc);
@@ -415,8 +414,7 @@ TEST(TrimPlumbing, MisalignedPlanIsRejected) {
   HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot, true));
   EXPECT_THROW(hybrid.set_trim_plan(bad), std::invalid_argument);
 
-  ParallelSymConfig pc;
-  pc.hybrid = ample(Strategy::Mot, true);
+  SimOptions pc = ample(Strategy::Mot, true);
   pc.threads = 2;
   ParallelSymSim par(nl, c.faults(), pc);
   EXPECT_THROW(par.set_trim_plan(bad), std::invalid_argument);

@@ -18,7 +18,9 @@
 //   --lint           static analysis first: structurally undetectable
 //                    faults are pruned up front (verdict static-X-red)
 //   --no-trim        disable execution-redundancy trimming in the
-//                    symbolic stage (bit-identical; perf knob only)
+//                    symbolic stage (identical while no fallback window
+//                    opens; sound but possibly fewer detections once
+//                    one does)
 //   --no-sgraph      disable the s-graph MOT->SOT downgrade in the
 //                    symbolic stage (bit-identical; perf knob only)
 //   --no-xred        skip the ID_X-red stage
@@ -137,8 +139,10 @@ struct Options {
                "  --lint             prune statically undetectable faults\n"
                "                     first (see docs/ANALYSIS.md)\n"
                "  --no-trim          disable execution-redundancy trimming\n"
-               "                     in the symbolic stage (bit-identical\n"
-               "                     results; see docs/ANALYSIS.md)\n"
+               "                     in the symbolic stage (identical while\n"
+               "                     no fallback window opens; sound but\n"
+               "                     possibly fewer detections once one\n"
+               "                     does; see docs/ANALYSIS.md)\n"
                "  --no-sgraph        disable the s-graph MOT->SOT downgrade\n"
                "                     in the symbolic stage (bit-identical\n"
                "                     results; see docs/ANALYSIS.md)\n"
