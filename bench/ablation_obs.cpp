@@ -18,6 +18,13 @@
 // and the per-phase seconds table (paper Tables II-IV report exactly
 // these time/space columns).
 //
+// The three modes (off, on, full stack) run round-robin: every round
+// times one run of each, back to back and starting from the next mode
+// in turn, so a slow phase of a shared host lands on all three modes
+// alike instead of on one block of runs. Rounds repeat until each
+// circuit has been measured for a few seconds; each mode keeps its
+// best run.
+//
 // Environment (see bench_common.h): MOTSIM_FULL, MOTSIM_VECTORS,
 // MOTSIM_SEED, plus
 //   MOTSIM_THREADS=n   worker threads of the symbolic stage (default 2)
@@ -44,28 +51,30 @@ using namespace motsim::bench;
 
 namespace {
 
+/// Rounds per circuit: at least kMinRounds, then more until the
+/// measured runs of the circuit add up to kMinSeconds.
+constexpr int kMinRounds = 5;
+constexpr double kMinSeconds = 6.0;
+
 struct Measurement {
-  double seconds = 0;
+  double seconds = 1e100;  ///< best run so far
   std::size_t detected = 0;
 };
 
-Measurement measure(const Netlist& nl, const std::vector<Fault>& faults,
+/// Times one pipeline run and folds it into `best`; returns its time.
+double measure_once(const Netlist& nl, const std::vector<Fault>& faults,
                     const TestSequence& seq, const SimOptions& opts,
-                    int reps, obs::Telemetry* telemetry) {
-  Measurement best;
-  best.seconds = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    SimOptions run = opts;
-    run.telemetry = telemetry;
-    Stopwatch timer;
-    const PipelineResult r = run_pipeline(nl, faults, seq, run);
-    const double secs = timer.elapsed_seconds();
-    if (secs < best.seconds) {
-      best.seconds = secs;
-      best.detected = r.detected_3v + r.detected_symbolic;
-    }
+                    obs::Telemetry* telemetry, Measurement& best) {
+  SimOptions run = opts;
+  run.telemetry = telemetry;
+  Stopwatch timer;
+  const PipelineResult r = run_pipeline(nl, faults, seq, run);
+  const double secs = timer.elapsed_seconds();
+  if (secs < best.seconds) {
+    best.seconds = secs;
+    best.detected = r.detected_3v + r.detected_symbolic;
   }
-  return best;
+  return secs;
 }
 
 double counter_of(const obs::MetricsSnapshot& s, const char* name) {
@@ -92,8 +101,6 @@ int main() {
       static_cast<std::size_t>(env_int("MOTSIM_THREADS", 2));
   const std::size_t vectors =
       static_cast<std::size_t>(env_int("MOTSIM_VECTORS", 96));
-  const int reps = full_mode() ? 5 : 3;
-
   std::vector<std::string> names{"s526"};
   if (full_mode()) {
     names.push_back("s1238");
@@ -109,42 +116,62 @@ int main() {
 
     SimOptions opts;
     opts.threads = threads;
-    std::printf("%s: %zu faults, %zu vectors, %zu threads, best of %d\n",
-                name.c_str(), faults.size(), seq.size(), threads, reps);
-
-    // One untimed warmup so the off-measurement doesn't pay the
-    // process's cold caches and page faults on behalf of both modes.
-    (void)measure(nl, faults.faults(), seq, opts, 1, nullptr);
-
-    const Measurement off =
-        measure(nl, faults.faults(), seq, opts, reps, nullptr);
-    obs::Telemetry telemetry;
-    const Measurement on =
-        measure(nl, faults.faults(), seq, opts, reps, &telemetry);
+    // One untimed warmup so the first round doesn't pay the process's
+    // cold caches and page faults on behalf of one mode.
+    {
+      Measurement warmup;
+      (void)measure_once(nl, faults.faults(), seq, opts, nullptr, warmup);
+    }
 
     // The whole stack at once: metrics + spans + recorder, plus a live
     // JSONL log sink at the default Info level and the background
-    // sampler — everything `--log X --sample-interval 5` turns on.
+    // sampler — everything `--log X --sample-interval 5` turns on. The
+    // sampler thread runs only around the full-stack runs.
     const std::string scratch =
         (std::filesystem::temp_directory_path() / "motsim_ablation_obs")
             .string();
     std::filesystem::create_directories(scratch);
+    obs::Telemetry telemetry;
     obs::Telemetry full_tele;
     auto logger =
         obs::Logger::open(scratch + "/" + name + ".log.jsonl",
                           obs::LogLevel::Info);
-    Measurement full;
     if (logger.has_value()) {
       full_tele.attach_logger(logger->get());
-      auto sampler = obs::Sampler::start(
-          full_tele, scratch + "/" + name + ".samples.jsonl", 5);
-      full = measure(nl, faults.faults(), seq, opts, reps, &full_tele);
-      if (sampler.has_value()) (*sampler)->stop();
-      full_tele.attach_logger(nullptr);
     } else {
       std::fprintf(stderr, "ablation_obs: %s\n", logger.error().c_str());
-      full = on;
     }
+    const std::string samples = scratch + "/" + name + ".samples.jsonl";
+
+    Measurement off, on, full;
+    int rounds = 0;
+    for (double elapsed = 0;
+         rounds < kMinRounds || elapsed < kMinSeconds; ++rounds) {
+      for (int k = 0; k < 3; ++k) {
+        switch ((rounds + k) % 3) {
+          case 0:
+            elapsed +=
+                measure_once(nl, faults.faults(), seq, opts, nullptr, off);
+            break;
+          case 1:
+            elapsed +=
+                measure_once(nl, faults.faults(), seq, opts, &telemetry, on);
+            break;
+          default:
+            if (logger.has_value()) {
+              auto sampler = obs::Sampler::start(full_tele, samples, 5);
+              elapsed += measure_once(nl, faults.faults(), seq, opts,
+                                      &full_tele, full);
+              if (sampler.has_value()) (*sampler)->stop();
+            }
+        }
+      }
+    }
+    if (!logger.has_value()) full = on;
+    full_tele.attach_logger(nullptr);
+    std::printf("%s: %zu faults, %zu vectors, %zu threads, best of %d "
+                "round-robin rounds\n",
+                name.c_str(), faults.size(), seq.size(), threads, rounds);
 
     const double overhead =
         off.seconds > 0 ? (on.seconds - off.seconds) / off.seconds : 0.0;
@@ -181,7 +208,7 @@ int main() {
 
     // The paper-facing resource numbers (Tables II-IV time/space
     // columns), straight from the enabled run's registry. Repeated
-    // measure() reps accumulate into one context; the ratios and
+    // rounds accumulate into one context; the ratios and
     // peaks below are rep-invariant.
     const obs::MetricsSnapshot s = telemetry.metrics.snapshot();
     const double lookups = counter_of(s, "bdd.apply_cache_lookups");
@@ -195,7 +222,7 @@ int main() {
                 counter_of(s, "bdd.gc_runs"),
                 counter_of(s, "bdd.gc_reclaimed_nodes"),
                 gauge_of(s, "bdd.gc_seconds"));
-    std::printf("\nper-phase seconds (all reps):\n%s\n",
+    std::printf("\nper-phase seconds (all rounds):\n%s\n",
                 telemetry.tracer.phase_summary().c_str());
   }
 

@@ -14,6 +14,13 @@
 //                         (default 8)
 //   MOTSIM_CHUNK=n        shard size (default kDefaultChunkSize)
 //
+// A first row runs the serial engine (one HybridFaultSim over the whole
+// list, what run_pipeline does at threads = 1), and every sharded row
+// reports its time over the serial time. That ratio is measured, not
+// gated; serial and sharded verdicts may differ once fallback windows
+// open (docs/PARALLEL.md), so only the sharded rows are checked for
+// determinism.
+//
 // On a single-core host every thread count measures ~1x; the sharding
 // itself costs only the per-shard manager setup.
 
@@ -21,6 +28,7 @@
 #include <cstdlib>
 
 #include "bench_common.h"
+#include "core/hybrid_sim.h"
 #include "core/parallel_sym_sim.h"
 #include "faults/collapse.h"
 #include "tpg/sequences.h"
@@ -54,16 +62,24 @@ int main() {
     std::printf("%s: %zu faults, %zu vectors, chunk %zu\n", name.c_str(),
                 faults.size(), seq.size(),
                 chunk == 0 ? kDefaultChunkSize : chunk);
-    std::printf("  %7s %9s %9s %8s %9s\n", "threads", "detected", "time[s]",
-                "speedup", "fallback");
+    std::printf("  %7s %9s %9s %8s %9s %10s\n", "threads", "detected",
+                "time[s]", "speedup", "fallback", "vs serial");
+
+    SimOptions cfg;
+    cfg.strategy = Strategy::Mot;
+    cfg.chunk_size = chunk;
+    HybridFaultSim serial_sim(nl, faults.faults(), cfg);
+    Stopwatch serial_timer;
+    const HybridResult serial = serial_sim.run(seq);
+    const double serial_secs = serial_timer.elapsed_seconds();
+    std::printf("  %7s %9zu %9.3f %8s %9zu\n", "serial",
+                serial.detected_count, serial_secs, "",
+                serial.fallback_windows);
 
     double t1 = 0;
     std::vector<FaultStatus> reference;
     for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-      SimOptions cfg;
-      cfg.strategy = Strategy::Mot;
       cfg.threads = threads;
-      cfg.chunk_size = chunk;
       ParallelSymSim sim(nl, faults.faults(), cfg);
       Stopwatch timer;
       const HybridResult r = sim.run(seq);
@@ -77,12 +93,13 @@ int main() {
                      name.c_str(), threads);
         return 1;
       }
-      std::printf("  %7zu %9zu %9.3f %7.2fx %9zu\n", threads,
+      std::printf("  %7zu %9zu %9.3f %7.2fx %9zu %9.2fx\n", threads,
                   r.detected_count, secs, secs > 0 ? t1 / secs : 0.0,
-                  r.fallback_windows);
+                  r.fallback_windows,
+                  serial_secs > 0 ? secs / serial_secs : 0.0);
     }
     std::printf("\n");
   }
-  std::printf("per-fault statuses identical across the whole sweep.\n");
+  std::printf("per-fault statuses identical across the sharded sweep.\n");
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/sgraph.h"
 #include "analysis/static_xred.h"
 #include "analysis/trim.h"
 #include "bdd/bdd.h"

@@ -1,5 +1,6 @@
 #include "core/options.h"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -24,6 +25,10 @@ Expected<SimOptions, std::string> SimOptions::validate() const {
   }
   if (hard_limit_factor == 0) {
     return Err{"hard_limit_factor must be positive"};
+  }
+  if (node_limit >
+      std::numeric_limits<std::size_t>::max() / hard_limit_factor) {
+    return Err{"node_limit * hard_limit_factor overflows"};
   }
   if (threads > kMaxThreads) {
     return Err{"threads must be at most " + std::to_string(kMaxThreads) +

@@ -58,7 +58,7 @@ struct SimOptions {
   std::size_t fallback_frames = 8;
   /// Mid-frame abort threshold = node_limit * hard_limit_factor: a
   /// frame whose intermediate OBDDs blow past it is redone
-  /// three-valued.
+  /// three-valued. validate() rejects a product that overflows.
   std::size_t hard_limit_factor = 8;
   /// Checkpoint-synchronization interval in frames (0 = off). Every K
   /// completed frames the symbolic engine brings itself into

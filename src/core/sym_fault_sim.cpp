@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/cone.h"
+
 namespace motsim {
 
 using bdd::Bdd;
@@ -355,7 +357,6 @@ bool SymFaultPropagator::step(const Fault& fault, Strategy strategy,
                      : -1;
   bool detected = false;
   if (dv >= 0) {
-    ++sgraph_counters_.downgraded_frames;
     if (dv == 1) {
       fs.detect = mgr_->constant(false);
       detected = true;
@@ -383,80 +384,6 @@ bool SymFaultPropagator::step(const Fault& fault, Strategy strategy,
   }
 
   latch_diffs(fault, sv, ctx, fs.state_diff);
-  release_scratch();
-  return false;
-}
-
-bool SymFaultPropagator::step_multi(const Fault& fault, MultiFaultState& ms,
-                                    SymFrameContext& ctx,
-                                    std::uint32_t frame, bool downgraded) {
-  if (quiescent(fault, ms.state_diff, ctx.good_values())) {
-    // Same argument as in step(): only MOT's accumulation survives a
-    // quiescent frame, and it collapses to the shared frame product.
-    ++trim_counters_.frames_skipped;
-    if (!ms.mot_done) {
-      ++trim_counters_.shared_eq_uses;
-      ms.mot_detect &= ctx.frame_eq_product(*netlist_, *mgr_, x2y_);
-      if (ms.mot_detect.is_zero()) {
-        ms.mot_done = true;
-        ms.mot_frame = frame;
-        ms.mot_detect = Bdd();
-      }
-    }
-    return ms.all_done();
-  }
-
-  const Bdd sv = mgr_->constant(fault.stuck_value);
-  propagate(fault, sv, ms.state_diff, ctx.good_values());
-
-  if (!ms.sot_done && detect_sot(ctx.good_values())) {
-    ms.sot_done = true;
-    ms.sot_frame = frame;
-  }
-  // Downgraded rMOT/MOT bookkeeping; see step() for the argument.
-  const int dv = downgraded && (!ms.rmot_done || !ms.mot_done)
-                     ? scan_const_divergence(ctx.good_values())
-                     : -1;
-  if (dv >= 0) {
-    ++sgraph_counters_.downgraded_frames;
-    if (!ms.rmot_done && dv == 1) {
-      ms.rmot_done = true;
-      ms.rmot_frame = frame;
-      ms.rmot_detect = Bdd();
-    }
-    if (!ms.mot_done) {
-      if (dv == 1) {
-        ms.mot_done = true;
-        ms.mot_frame = frame;
-        ms.mot_detect = Bdd();
-      } else {
-        ms.mot_detect &= ctx.frame_eq_product(*netlist_, *mgr_, x2y_);
-        if (ms.mot_detect.is_zero()) {
-          ms.mot_done = true;
-          ms.mot_frame = frame;
-          ms.mot_detect = Bdd();
-        }
-      }
-    }
-  } else {
-    if (!ms.rmot_done && update_rmot(ms.rmot_detect, ctx.good_values())) {
-      ms.rmot_done = true;
-      ms.rmot_frame = frame;
-      ms.rmot_detect = Bdd();
-    }
-    if (!ms.mot_done && update_mot(ms.mot_detect, ctx)) {
-      ms.mot_done = true;
-      ms.mot_frame = frame;
-      ms.mot_detect = Bdd();
-    }
-  }
-
-  if (ms.all_done()) {
-    queue_.clear();
-    release_scratch();
-    return true;
-  }
-  latch_diffs(fault, sv, ctx, ms.state_diff);
   release_scratch();
   return false;
 }
@@ -495,21 +422,6 @@ SymFaultSimResult SymFaultSim::run(
   const auto circuit = std::make_shared<const LevelizedCircuit>(nl);
   SymTrueValueSim good(circuit, mgr, vars);
   SymFaultPropagator prop(circuit, mgr, vars);
-  prop.set_trim(trim_);
-
-  // Static activation horizons for SOT/rMOT parking: once past
-  // dead_from with no stored divergence, the fault can never be
-  // excited again, so its remaining frames are pure no-ops. MOT never
-  // parks (D~ keeps accumulating equality terms). BDD handles of
-  // parked faults stay alive so gc pressure matches the untrimmed run.
-  TrimPlan plan;
-  if (trim_) plan = build_trim_plan(nl, faults_);
-
-  // S-graph observation horizons: frames at which the per-fault
-  // rMOT/MOT updates may run in downgraded (SOT-equivalent) form.
-  // Vars are seeded once at frame 0 here, so the epoch is 0.
-  SgraphPlan splan;
-  if (sgraph_) splan = build_sgraph_plan(nl, faults_);
 
   SymFaultSimResult result;
   result.status = initial_status_;
@@ -519,13 +431,11 @@ SymFaultSimResult SymFaultSim::run(
   struct Live {
     std::size_t index;
     SymFaultState fs;
-    bool parked = false;
-    bool downgraded = false;
   };
   std::vector<Live> live;
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     if (initial_status_[i] == FaultStatus::Undetected) {
-      live.push_back(Live{i, SymFaultState{mgr.one(), {}}, false, false});
+      live.push_back(Live{i, SymFaultState{mgr.one(), {}}});
     }
   }
 
@@ -537,25 +447,7 @@ SymFaultSimResult SymFaultSim::run(
     std::size_t keep = 0;
     for (std::size_t i = 0; i < live.size(); ++i) {
       Live& lf = live[i];
-      if (trim_ && strategy_ != Strategy::Mot && !lf.parked &&
-          plan.dead_from[lf.index] != 0 &&
-          t + 1 >= plan.dead_from[lf.index] && lf.fs.state_diff.empty()) {
-        lf.parked = true;
-      }
-      bool detected = false;
-      if (lf.parked) {
-        ++result.frames_skipped;
-      } else {
-        if (sgraph_ && strategy_ != Strategy::Sot && !lf.downgraded &&
-            splan.horizon[lf.index] != kInfDepth &&
-            t >= splan.horizon[lf.index]) {
-          lf.downgraded = true;
-          ++result.mot_downgrades;
-        }
-        detected = prop.step(faults_[lf.index], strategy_, lf.fs, ctx,
-                             lf.downgraded);
-      }
-      if (detected) {
+      if (prop.step(faults_[lf.index], strategy_, lf.fs, ctx)) {
         result.status[lf.index] = det;
         result.detect_frame[lf.index] = static_cast<std::uint32_t>(t + 1);
         ++result.detected_count;
@@ -568,12 +460,6 @@ SymFaultSimResult SymFaultSim::run(
     mgr.gc();
     result.peak_live_nodes =
         std::max(result.peak_live_nodes, mgr.live_node_count());
-  }
-
-  result.frames_skipped += prop.trim_counters().frames_skipped;
-  result.faultfree_evals_shared = prop.trim_counters().shared_eq_uses;
-  for (const Live& lf : live) {
-    if (lf.parked) ++result.faults_terminated_early;
   }
 
   // Witnesses for the survivors: D~ is nonzero, so a satisfying
@@ -600,110 +486,6 @@ SymFaultSimResult SymFaultSim::run(
       }
       result.witnesses[lf.index] = std::move(pair);
     }
-  }
-
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// run_all_strategies (single-pass multi-strategy driver)
-// ---------------------------------------------------------------------------
-
-MultiStrategyResult run_all_strategies(
-    const Netlist& nl, const std::vector<Fault>& faults,
-    const std::vector<std::vector<Val3>>& sequence,
-    const bdd::BddConfig& bdd_config, VarLayout layout, bool trim,
-    bool sgraph) {
-  if (!nl.finalized()) {
-    throw std::logic_error("run_all_strategies requires a finalized netlist");
-  }
-
-  bdd::BddManager mgr(bdd_config);
-  const StateVars vars(nl.dff_count(), layout);
-  const auto circuit = std::make_shared<const LevelizedCircuit>(nl);
-  SymTrueValueSim good(circuit, mgr, vars);
-  SymFaultPropagator prop(circuit, mgr, vars);
-  prop.set_trim(trim);
-
-  SgraphPlan splan;
-  if (sgraph) splan = build_sgraph_plan(nl, faults);
-  std::uint64_t mot_downgrades = 0;
-
-  MultiStrategyResult result;
-  for (SymFaultSimResult* r : {&result.sot, &result.rmot, &result.mot}) {
-    r->status.assign(faults.size(), FaultStatus::Undetected);
-    r->detect_frame.assign(faults.size(), 0);
-  }
-
-  struct Live {
-    std::size_t index;
-    SymFaultPropagator::MultiFaultState ms;
-    bool downgraded = false;
-  };
-  std::vector<Live> live;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    Live lf;
-    lf.index = i;
-    lf.ms.rmot_detect = mgr.one();
-    lf.ms.mot_detect = mgr.one();
-    live.push_back(std::move(lf));
-  }
-
-  auto record = [&](const Live& lf) {
-    const std::size_t i = lf.index;
-    if (lf.ms.sot_done && result.sot.detect_frame[i] == 0) {
-      result.sot.status[i] = FaultStatus::DetectedSot;
-      result.sot.detect_frame[i] = lf.ms.sot_frame;
-      ++result.sot.detected_count;
-    }
-    if (lf.ms.rmot_done && result.rmot.detect_frame[i] == 0) {
-      result.rmot.status[i] = FaultStatus::DetectedRmot;
-      result.rmot.detect_frame[i] = lf.ms.rmot_frame;
-      ++result.rmot.detected_count;
-    }
-    if (lf.ms.mot_done && result.mot.detect_frame[i] == 0) {
-      result.mot.status[i] = FaultStatus::DetectedMot;
-      result.mot.detect_frame[i] = lf.ms.mot_frame;
-      ++result.mot.detected_count;
-    }
-  };
-
-  for (std::size_t t = 0; t < sequence.size() && !live.empty(); ++t) {
-    good.step(sequence[t]);
-    SymFrameContext ctx(good.values(), good.state(), nl.output_count());
-
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Live& lf = live[i];
-      if (sgraph && !lf.downgraded &&
-          splan.horizon[lf.index] != kInfDepth &&
-          t >= splan.horizon[lf.index]) {
-        lf.downgraded = true;
-        ++mot_downgrades;
-      }
-      const bool done = prop.step_multi(
-          faults[lf.index], lf.ms, ctx,
-          static_cast<std::uint32_t>(t + 1), lf.downgraded);
-      record(live[i]);
-      if (!done) {
-        if (keep != i) live[keep] = std::move(live[i]);
-        ++keep;
-      }
-    }
-    live.resize(keep);
-    mgr.gc();
-    const std::size_t peak = mgr.live_node_count();
-    result.sot.peak_live_nodes = std::max(result.sot.peak_live_nodes, peak);
-    result.rmot.peak_live_nodes = result.sot.peak_live_nodes;
-    result.mot.peak_live_nodes = result.sot.peak_live_nodes;
-  }
-
-  // One shared pass, so the trimming telemetry is mirrored like the
-  // peak above.
-  for (SymFaultSimResult* r : {&result.sot, &result.rmot, &result.mot}) {
-    r->frames_skipped = prop.trim_counters().frames_skipped;
-    r->faultfree_evals_shared = prop.trim_counters().shared_eq_uses;
-    r->mot_downgrades = mot_downgrades;
   }
 
   return result;

@@ -165,7 +165,9 @@ TEST(SimOptions, EveryEntryPointRejectsInvalidOptions) {
   zero_limit.node_limit = 0;
   SimOptions huge_cache;  // 1 << 40 cache entries; 64 is an undefined shift
   huge_cache.bdd_cache_size_log2 = 40;
-  for (const SimOptions& o : {zero_limit, huge_cache}) {
+  SimOptions wrapping_limit;  // 2^61 * 8 wraps the hard limit to 0
+  wrapping_limit.node_limit = std::size_t{1} << 61;
+  for (const SimOptions& o : {zero_limit, huge_cache, wrapping_limit}) {
     const std::string expected = "SimOptions: " + o.validate().error();
     EXPECT_EQ(invalid_argument_of([&] {
                 HybridFaultSim sim(nl, faults.faults(), o);
@@ -183,6 +185,8 @@ TEST(SimOptions, EveryEntryPointRejectsInvalidOptions) {
   EXPECT_EQ(zero_limit.validate().error(), "node_limit must be positive");
   EXPECT_EQ(huge_cache.validate().error(),
             "bdd_cache_size_log2 must be in [4, 30]");
+  EXPECT_EQ(wrapping_limit.validate().error(),
+            "node_limit * hard_limit_factor overflows");
 }
 
 }  // namespace

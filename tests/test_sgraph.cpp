@@ -289,9 +289,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SgraphDepth,
 // Bit-identity: sgraph on vs off, every engine and strategy
 // ---------------------------------------------------------------------------
 
-void expect_same_result(const SymFaultSimResult& a, const SymFaultSimResult& b,
-                        const Netlist& nl, const std::vector<Fault>& faults,
-                        const char* what) {
+/// Verdicts and detection frames of two runs (any mix of HybridResult
+/// and SymFaultSimResult) must agree fault by fault.
+template <typename A, typename B>
+void expect_same_result(const A& a, const B& b, const Netlist& nl,
+                        const std::vector<Fault>& faults, const char* what) {
   ASSERT_EQ(a.status.size(), b.status.size()) << what;
   EXPECT_EQ(a.detected_count, b.detected_count) << what;
   for (std::size_t i = 0; i < a.status.size(); ++i) {
@@ -302,17 +304,20 @@ void expect_same_result(const SymFaultSimResult& a, const SymFaultSimResult& b,
   }
 }
 
-void expect_same_result(const HybridResult& a, const HybridResult& b,
-                        const Netlist& nl, const std::vector<Fault>& faults,
-                        const char* what) {
-  ASSERT_EQ(a.status.size(), b.status.size()) << what;
-  EXPECT_EQ(a.detected_count, b.detected_count) << what;
-  for (std::size_t i = 0; i < a.status.size(); ++i) {
-    EXPECT_EQ(a.status[i], b.status[i])
-        << what << " " << fault_name(nl, faults[i]);
-    EXPECT_EQ(a.detect_frame[i], b.detect_frame[i])
-        << what << " " << fault_name(nl, faults[i]);
-  }
+SimOptions ample(Strategy s, bool sgraph) {
+  SimOptions cfg;
+  cfg.strategy = s;
+  cfg.node_limit = 1u << 22;
+  cfg.sgraph = sgraph;
+  return cfg;
+}
+
+/// The s-graph pass alone: trimming stays off so a downgrade bug
+/// cannot be masked or caused by the trimming pass.
+SimOptions sgraph_only(Strategy s) {
+  SimOptions cfg = ample(s, true);
+  cfg.trim = false;
+  return cfg;
 }
 
 class SgraphIdentity : public ::testing::TestWithParam<std::uint64_t> {};
@@ -326,38 +331,12 @@ TEST_P(SgraphIdentity, PureSymbolicMatchesPlain) {
   for (Strategy s : {Strategy::Sot, Strategy::Rmot, Strategy::Mot}) {
     SymFaultSim plain(nl, c.faults(), s);
     const SymFaultSimResult rp = plain.run(seq);
-    EXPECT_EQ(rp.mot_downgrades, 0u);
 
-    SymFaultSim guided(nl, c.faults(), s);
-    guided.set_sgraph(true);
-    const SymFaultSimResult rg = guided.run(seq);
+    HybridFaultSim guided(nl, c.faults(), sgraph_only(s));
+    const HybridResult rg = guided.run(seq);
+    EXPECT_EQ(rg.fallback_windows, 0u) << to_cstring(s);
     expect_same_result(rp, rg, nl, c.faults(), to_cstring(s));
   }
-}
-
-TEST_P(SgraphIdentity, MultiStrategyMatchesPlain) {
-  const Netlist nl = small_random_circuit(GetParam() + 60);
-  Rng rng(GetParam() * 3 + 11);
-  const TestSequence seq = random_sequence(nl, 6, rng);
-  const CollapsedFaultList c(nl);
-
-  const MultiStrategyResult plain =
-      run_all_strategies(nl, c.faults(), seq, {}, VarLayout::Interleaved,
-                         /*trim=*/false, /*sgraph=*/false);
-  const MultiStrategyResult guided =
-      run_all_strategies(nl, c.faults(), seq, {}, VarLayout::Interleaved,
-                         /*trim=*/false, /*sgraph=*/true);
-  expect_same_result(plain.sot, guided.sot, nl, c.faults(), "sot");
-  expect_same_result(plain.rmot, guided.rmot, nl, c.faults(), "rmot");
-  expect_same_result(plain.mot, guided.mot, nl, c.faults(), "mot");
-}
-
-SimOptions ample(Strategy s, bool sgraph) {
-  SimOptions cfg;
-  cfg.strategy = s;
-  cfg.node_limit = 1u << 22;
-  cfg.sgraph = sgraph;
-  return cfg;
 }
 
 TEST_P(SgraphIdentity, HybridMatchesPlain) {
@@ -383,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SgraphIdentity,
 TEST(SgraphIdentityBench, AcyclicPipelineDowngradesEveryEngine) {
   // On a fully acyclic circuit every surviving rMOT/MOT fault must
   // downgrade once the deepest horizon passes — with verdicts and
-  // frames identical to the plain run, serial and sharded alike.
+  // frames identical to the plain runs, serial and sharded alike.
   const SynthSpec spec{"apipe", 4, 2, 8, 70, CircuitStyle::AcyclicPipeline,
                        21};
   const Netlist nl = generate_circuit(spec);
@@ -397,9 +376,15 @@ TEST(SgraphIdentityBench, AcyclicPipelineDowngradesEveryEngine) {
 
     HybridFaultSim guided(nl, c.faults(), ample(s, true));
     const HybridResult rg = guided.run(seq);
+    EXPECT_EQ(rg.fallback_windows, 0u) << to_cstring(s);
     expect_same_result(rp, rg, nl, c.faults(), to_cstring(s));
     EXPECT_GT(rg.mot_downgrades, 0u) << to_cstring(s);
     EXPECT_EQ(rp.mot_downgrades, 0u) << to_cstring(s);
+
+    // The plain reference runs neither pass.
+    SymFaultSim reference(nl, c.faults(), s);
+    expect_same_result(reference.run(seq), rg, nl, c.faults(),
+                       to_cstring(s));
 
     for (std::size_t threads : {2u, 4u}) {
       SimOptions pc = ample(s, true);
