@@ -4,10 +4,11 @@
 //
 // Runs both FaultSimulator3 backends (and the bit-parallel engine at 1
 // and 4 worker threads) over random sequences on s27 / s344 / s5378
-// and compares, fault by fault, the detection verdict AND the
-// detection frame. Any disagreement exits nonzero — this harness is
-// the CI correctness gate behind the backend contract of docs/SIM3.md,
-// wired like ablation_implications.
+// and compares, fault by fault, the detection verdict, the detection
+// frame and exact_from (the frame after which X01 was exact). Any
+// disagreement exits nonzero — this harness is the CI correctness gate
+// behind the backend contract of docs/SIM3.md, wired like
+// ablation_implications.
 //
 // It is also a ratio gate: each backend is timed best-of-5 within this
 // one run (interleaved, so host drift hits both sides alike), and the
@@ -67,17 +68,22 @@ bool identical(const Netlist& nl, const std::vector<Fault>& faults,
                const FaultSim3Result& a, const FaultSim3Result& b,
                const char* what) {
   bool ok = a.status.size() == b.status.size() &&
-            a.detected_count == b.detected_count;
+            a.detected_count == b.detected_count &&
+            a.exact_from.size() == b.exact_from.size();
   int reported = 0;
   for (std::size_t i = 0; i < a.status.size() && i < b.status.size(); ++i) {
     if (is_detected(a.status[i]) != is_detected(b.status[i]) ||
-        a.detect_frame[i] != b.detect_frame[i]) {
+        a.detect_frame[i] != b.detect_frame[i] ||
+        a.exact_from[i] != b.exact_from[i]) {
       if (reported++ < 10) {
-        std::fprintf(stderr, "MISMATCH (%s): %s %s: event=%s@%u other=%s@%u\n",
+        std::fprintf(stderr,
+                     "MISMATCH (%s): %s %s: event=%s@%u exact_from %u "
+                     "other=%s@%u exact_from %u\n",
                      what, nl.name().c_str(),
                      fault_name(nl, faults[i]).c_str(), to_cstring(a.status[i]),
-                     a.detect_frame[i], to_cstring(b.status[i]),
-                     b.detect_frame[i]);
+                     a.detect_frame[i], a.exact_from[i],
+                     to_cstring(b.status[i]), b.detect_frame[i],
+                     b.exact_from[i]);
       }
       ok = false;
     }
@@ -141,7 +147,7 @@ int main() {
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAILURE: the sim3 backends disagree on a detection "
-                 "verdict or frame.\n");
+                 "verdict, frame or exact_from.\n");
     return 1;
   }
   std::printf("\nboth backends (and both thread counts) are bit-identical "

@@ -1,8 +1,12 @@
 #include "analysis/cone.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "analysis/scc.h"
 
 namespace motsim {
 
@@ -164,10 +168,88 @@ std::vector<ConeCluster> ConeAnalysis::cluster_faults(
   return clusters;
 }
 
+NodeCondensation condense_forward(const Netlist& netlist) {
+  if (!netlist.finalized()) {
+    throw std::logic_error("condense_forward requires a finalized netlist");
+  }
+  const auto n = static_cast<std::uint32_t>(netlist.node_count());
+  std::vector<std::uint32_t> offset(n + 1, 0);
+  for (NodeIndex v = 0; v < n; ++v) {
+    offset[v + 1] =
+        offset[v] + static_cast<std::uint32_t>(netlist.fanouts(v).size());
+  }
+  std::vector<std::uint32_t> edges;
+  edges.reserve(offset[n]);
+  for (NodeIndex v = 0; v < n; ++v) {
+    for (const FanoutRef& fo : netlist.fanouts(v)) edges.push_back(fo.node);
+  }
+
+  NodeCondensation cond;
+  cond.scc_count = tarjan_scc(
+      n,
+      [&](std::uint32_t v) {
+        return std::span<const std::uint32_t>(edges.data() + offset[v],
+                                              offset[v + 1] - offset[v]);
+      },
+      nullptr, cond.scc_of, &cond.members);
+  // Members arrive grouped by SCC id; record where each group starts.
+  cond.offset.assign(cond.scc_count + 1, 0);
+  for (const std::uint32_t v : cond.members) {
+    ++cond.offset[cond.scc_of[v] + 1];
+  }
+  for (std::uint32_t c = 0; c < cond.scc_count; ++c) {
+    cond.offset[c + 1] += cond.offset[c];
+  }
+  return cond;
+}
+
 std::vector<std::size_t> cluster_live_order(
     const Netlist& netlist, const std::vector<Fault>& faults,
     const std::vector<std::size_t>& live) {
-  ConeAnalysis cones(netlist);
+  // Observation set of every SCC as one bitset: output position j is
+  // bit j, flip-flop position j is bit outputs + j. Seed each SCC with
+  // the points it contains, then OR-fold along the condensation.
+  const NodeCondensation cond = condense_forward(netlist);
+  const std::size_t outs = netlist.output_count();
+  const std::size_t words = (outs + netlist.dff_count() + 63) / 64;
+  std::vector<std::uint64_t> reach(std::size_t{cond.scc_count} * words, 0);
+  auto set_bit = [&](NodeIndex node, std::size_t bit) {
+    reach[cond.scc_of[node] * words + bit / 64] |= std::uint64_t{1}
+                                                   << (bit % 64);
+  };
+  for (std::size_t j = 0; j < outs; ++j) set_bit(netlist.outputs()[j], j);
+  for (std::size_t j = 0; j < netlist.dff_count(); ++j) {
+    set_bit(netlist.dffs()[j], outs + j);
+  }
+  cond.fold_edges(netlist, [&](std::uint32_t c, std::uint32_t d) {
+    std::uint64_t* to = reach.data() + std::size_t{c} * words;
+    const std::uint64_t* from = reach.data() + std::size_t{d} * words;
+    for (std::size_t w = 0; w < words; ++w) to[w] |= from[w];
+  });
+
+  // The signature ConeAnalysis::fault_cone computes from a walk: FNV-1a
+  // over the reached output positions, then the reached flip-flop
+  // positions, ascending. Memoized per SCC (many sites share one).
+  std::vector<std::uint64_t> scc_signature(cond.scc_count, 0);
+  std::vector<std::uint8_t> have_signature(cond.scc_count, 0);
+  auto signature_of = [&](NodeIndex site) {
+    if (site >= netlist.node_count()) return kFnvOffset;  // reaches nothing
+    const std::uint32_t c = cond.scc_of[site];
+    if (have_signature[c] != 0) return scc_signature[c];
+    std::uint64_t h = kFnvOffset;
+    const std::uint64_t* bits = reach.data() + std::size_t{c} * words;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+        const std::size_t bit = 64 * w + std::countr_zero(b);
+        h = fnv1a_u64(h, bit < outs ? bit
+                                    : (std::uint64_t{1} << 32) | (bit - outs));
+      }
+    }
+    have_signature[c] = 1;
+    scc_signature[c] = h;
+    return h;
+  };
+
   // Group by signature, preserving the first-occurrence order of the
   // signatures and the relative order of members; a stable partition,
   // never a sort, so the result is reproducible byte for byte.
@@ -176,7 +258,7 @@ std::vector<std::size_t> cluster_live_order(
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> members;
   std::vector<std::uint64_t> signature_order;
   for (const std::size_t g : live) {
-    const std::uint64_t sig = cones.fault_cone(faults[g]).signature;
+    const std::uint64_t sig = signature_of(divergence_origin(faults[g]));
     auto [it, inserted] = members.try_emplace(sig);
     if (inserted) signature_order.push_back(sig);
     it->second.push_back(g);

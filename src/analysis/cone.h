@@ -74,6 +74,44 @@ class ConeWalker {
   std::vector<NodeIndex> visited_;
 };
 
+/// SCC condensation of the node graph along fanout edges, flip-flop
+/// D-pins included: the graph every forward reach that crosses
+/// flip-flop boundaries walks. All nodes of one SCC reach the same
+/// nodes, so a per-node reach fact (the outputs a fault site can
+/// reach, the max horizon over them) folds once per SCC instead of
+/// once per walk: O(nodes + edges) for every node at once.
+struct NodeCondensation {
+  /// Per-node SCC id. Ids follow Tarjan completion order, a reverse
+  /// topological order of the condensation: an edge from SCC A into a
+  /// different SCC B implies B < A.
+  std::vector<std::uint32_t> scc_of;
+  std::uint32_t scc_count = 0;
+  /// Nodes grouped by SCC id: SCC c is members[offset[c]..offset[c+1]).
+  std::vector<std::uint32_t> members;
+  std::vector<std::uint32_t> offset;
+
+  /// Calls `edge(c, d)` for every fanout edge from SCC c into another
+  /// SCC d (so d < c), with c ascending: every SCC's edges come after
+  /// those of all the SCCs it reaches, which makes `edge` a valid
+  /// reach fold once each SCC's own facts are seeded. A repeated edge
+  /// is visited once per occurrence.
+  template <typename Edge>
+  void fold_edges(const Netlist& netlist, Edge&& edge) const {
+    for (std::uint32_t c = 0; c < scc_count; ++c) {
+      for (std::uint32_t k = offset[c]; k < offset[c + 1]; ++k) {
+        for (const FanoutRef& fo : netlist.fanouts(members[k])) {
+          const std::uint32_t d = scc_of[fo.node];
+          if (d != c) edge(c, d);
+        }
+      }
+    }
+  }
+};
+
+/// Builds the forward condensation of a finalized netlist (one
+/// iterative Tarjan pass).
+[[nodiscard]] NodeCondensation condense_forward(const Netlist& netlist);
+
 /// Per-fault cone-of-influence summary (docs/ANALYSIS.md, trimming
 /// pass). All reaches cross flip-flop boundaries, so the counts answer
 /// "over any number of frames".
@@ -140,7 +178,9 @@ class ConeAnalysis {
 /// first-occurrence order and members their relative order, so the
 /// result is a pure function of (netlist, faults, live) — never of
 /// thread count or scheduling. Used by ParallelSymSim's cluster-aware
-/// shard assignment (docs/DESIGN.md).
+/// shard assignment (docs/DESIGN.md). The signatures equal
+/// ConeAnalysis::fault_cone's but come from one observation-set
+/// bitset fold over the forward condensation, not one walk per fault.
 [[nodiscard]] std::vector<std::size_t> cluster_live_order(
     const Netlist& netlist, const std::vector<Fault>& faults,
     const std::vector<std::size_t>& live);

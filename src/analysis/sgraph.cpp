@@ -1,9 +1,11 @@
 #include "analysis/sgraph.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "analysis/cone.h"
+#include "analysis/scc.h"
 #include "circuit/stats.h"
 
 namespace motsim {
@@ -12,65 +14,17 @@ namespace {
 
 constexpr std::uint32_t kUnvisited = 0xFFFFFFFFu;
 
-/// Iterative Tarjan over the subgraph induced by `active`, following
-/// successor lists. Fills scc_id (kUnvisited for inactive vertices)
-/// and returns the number of SCCs. Ids follow completion order — a
-/// reverse topological order of the condensation.
-std::uint32_t tarjan_scc(const std::vector<std::vector<std::uint32_t>>& succ,
-                         const std::vector<std::uint8_t>& active,
-                         std::vector<std::uint32_t>& scc_id) {
-  const std::uint32_t n = static_cast<std::uint32_t>(succ.size());
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> low(n, 0);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  struct Frame {
-    std::uint32_t v;
-    std::uint32_t edge;
-  };
-  std::vector<Frame> call;
-  std::uint32_t next_index = 0;
-  std::uint32_t scc_count = 0;
-  scc_id.assign(n, kUnvisited);
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (!active[root] || index[root] != kUnvisited) continue;
-    index[root] = low[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-    call.push_back({root, 0});
-    while (!call.empty()) {
-      const std::uint32_t v = call.back().v;
-      if (call.back().edge < succ[v].size()) {
-        const std::uint32_t w = succ[v][call.back().edge++];
-        if (!active[w]) continue;
-        if (index[w] == kUnvisited) {
-          index[w] = low[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = 1;
-          call.push_back({w, 0});
-        } else if (on_stack[w]) {
-          low[v] = std::min(low[v], index[w]);
-        }
-      } else {
-        call.pop_back();
-        if (!call.empty()) {
-          low[call.back().v] = std::min(low[call.back().v], low[v]);
-        }
-        if (low[v] == index[v]) {
-          for (;;) {
-            const std::uint32_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = 0;
-            scc_id[w] = scc_count;
-            if (w == v) break;
-          }
-          ++scc_count;
-        }
-      }
-    }
-  }
-  return scc_count;
+/// Tarjan over the flip-flop graph restricted to `active`, following
+/// successor lists (analysis/scc.h).
+std::uint32_t ff_scc(const std::vector<std::vector<std::uint32_t>>& succ,
+                     const std::vector<std::uint8_t>& active,
+                     std::vector<std::uint32_t>& scc_id) {
+  return tarjan_scc(
+      static_cast<std::uint32_t>(succ.size()),
+      [&succ](std::uint32_t v) -> const std::vector<std::uint32_t>& {
+        return succ[v];
+      },
+      active.data(), scc_id);
 }
 
 [[nodiscard]] bool has_self_loop(const SgraphInfo& info, std::uint32_t v) {
@@ -95,30 +49,44 @@ SgraphInfo build_sgraph(const Netlist& nl) {
   info.preds.resize(n);
 
   // Edge u -> v iff FF u's Q is in the frame-local support of FF v's
-  // D input. The backward walk must NOT be seeded at a flip-flop:
-  // ConeWalker always expands its seeds, even with cross_dffs=false,
-  // so seeding at the FF itself would miss self-loops and seeding at
-  // a DFF-typed D fanin would descend through the frame boundary.
-  ConeWalker walker(nl);
+  // D input. Supports are flip-flop bitsets OR-folded once over the
+  // combinational topological order: a flip-flop node supports itself
+  // (its Q is the frame input; the D edge belongs to the next frame),
+  // primary inputs and constants support nothing, and a gate unites
+  // its fanins' supports.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> support(nl.node_count() * words, 0);
+  auto support_of = [&](NodeIndex v) { return support.data() + v * words; };
+  for (const NodeIndex v : nl.topo_order()) {
+    std::uint64_t* sv = support_of(v);
+    if (nl.type(v) == GateType::Dff) {
+      const std::uint32_t pos = nl.dff_position(v);
+      sv[pos / 64] |= std::uint64_t{1} << (pos % 64);
+    } else if (!is_frame_input(nl.type(v))) {
+      for (const NodeIndex f : nl.gate(v).fanins) {
+        const std::uint64_t* sf = support_of(f);
+        for (std::size_t w = 0; w < words; ++w) sv[w] |= sf[w];
+      }
+    }
+  }
+  // Calls fn(pos) for every flip-flop in `node`'s support, ascending.
+  auto for_each_support_ff = [&](NodeIndex node, auto&& fn) {
+    const std::uint64_t* sv = support_of(node);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t b = sv[w]; b != 0; b &= b - 1) {
+        fn(static_cast<std::uint32_t>(64 * w + std::countr_zero(b)));
+      }
+    }
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const NodeIndex d = nl.gate(nl.dffs()[i]).fanins[0];
     if (d == kNoNode) continue;
-    if (nl.type(d) == GateType::Dff) {
-      info.preds[i].push_back(nl.dff_position(d));
-      continue;
-    }
-    walker.run(ConeDir::Backward, {d}, /*cross_dffs=*/false);
-    for (const NodeIndex m : walker.visited()) {
-      if (nl.type(m) == GateType::Dff) {
-        info.preds[i].push_back(nl.dff_position(m));
-      }
-    }
-    std::sort(info.preds[i].begin(), info.preds[i].end());
+    for_each_support_ff(d, [&](std::uint32_t u) { info.preds[i].push_back(u); });
   }
 
   const std::vector<std::vector<std::uint32_t>> succ = successors(info);
   std::vector<std::uint8_t> active(n, 1);
-  info.scc_count = tarjan_scc(succ, active, info.scc_id);
+  info.scc_count = ff_scc(succ, active, info.scc_id);
 
   // Nontrivial SCCs: size >= 2, or a single vertex with a self-loop.
   std::vector<std::uint32_t> scc_size(info.scc_count, 0);
@@ -182,22 +150,14 @@ SgraphInfo build_sgraph(const Netlist& nl) {
   }
 
   // Per-output-position horizons: max init-depth over the output's
-  // frame-local support flip-flops. Same seeding caveat as above when
-  // the output net IS a flip-flop.
+  // frame-local support flip-flops (a flip-flop output is its own
+  // support).
   info.output_horizon.resize(nl.output_count());
   for (std::size_t j = 0; j < nl.output_count(); ++j) {
-    const NodeIndex o = nl.outputs()[j];
     std::uint32_t h = 0;
-    if (nl.type(o) == GateType::Dff) {
-      h = info.init_depth[nl.dff_position(o)];
-    } else {
-      walker.run(ConeDir::Backward, {o}, /*cross_dffs=*/false);
-      for (const NodeIndex m : walker.visited()) {
-        if (nl.type(m) == GateType::Dff) {
-          h = std::max(h, info.init_depth[nl.dff_position(m)]);
-        }
-      }
-    }
+    for_each_support_ff(nl.outputs()[j], [&](std::uint32_t u) {
+      h = std::max(h, info.init_depth[u]);
+    });
     info.output_horizon[j] = h;
   }
 
@@ -210,32 +170,25 @@ SgraphPlan build_sgraph_plan(const Netlist& nl, const SgraphInfo& info,
   plan.nontrivial_sccs = info.nontrivial_scc_count;
   plan.horizon.reserve(faults.size());
 
-  // Horizon of each output NET (positions of one net share a support,
-  // hence a horizon), so the per-fault pass can max over the visited
-  // node list instead of probing every output position.
-  std::vector<std::uint32_t> net_horizon(nl.node_count(), 0);
-  std::vector<std::uint8_t> is_out(nl.node_count(), 0);
+  // A fault's horizon is the max output horizon over the outputs its
+  // site reaches, crossing flip-flops. Every node of one SCC of the
+  // node graph reaches the same outputs, so seed each SCC with the
+  // horizons of the outputs it contains and fold the max along the
+  // condensation once; a fault's horizon is then a lookup at its site.
+  const NodeCondensation cond = condense_forward(nl);
+  std::vector<std::uint32_t> scc_horizon(cond.scc_count, 0);
   for (std::size_t j = 0; j < nl.output_count(); ++j) {
-    const NodeIndex o = nl.outputs()[j];
-    is_out[o] = 1;
-    net_horizon[o] = std::max(net_horizon[o], info.output_horizon[j]);
+    std::uint32_t& h = scc_horizon[cond.scc_of[nl.outputs()[j]]];
+    h = std::max(h, info.output_horizon[j]);
   }
-
-  ConeWalker walker(nl);
+  cond.fold_edges(nl, [&](std::uint32_t c, std::uint32_t d) {
+    scc_horizon[c] = std::max(scc_horizon[c], scc_horizon[d]);
+  });
   for (const Fault& f : faults) {
-    if (f.site.node == kNoNode || f.site.node >= nl.node_count()) {
-      // Malformed site: never downgrade.
-      plan.horizon.push_back(kInfDepth);
-      continue;
-    }
-    // Forward cone of influence of the divergence origin, crossing
-    // flip-flop boundaries (observation over any number of frames).
-    walker.run(ConeDir::Forward, {f.site.node}, /*cross_dffs=*/true);
-    std::uint32_t h = 0;
-    for (const NodeIndex m : walker.visited()) {
-      if (is_out[m]) h = std::max(h, net_horizon[m]);
-    }
-    plan.horizon.push_back(h);
+    // A malformed site never downgrades.
+    plan.horizon.push_back(f.site.node < nl.node_count()
+                               ? scc_horizon[cond.scc_of[f.site.node]]
+                               : kInfDepth);
   }
   return plan;
 }
@@ -253,7 +206,7 @@ std::vector<std::uint32_t> greedy_feedback_set(const SgraphInfo& info) {
   std::vector<std::uint32_t> result;
 
   for (;;) {
-    tarjan_scc(succ, active, scc_id);
+    ff_scc(succ, active, scc_id);
     std::vector<std::uint32_t> scc_size;
     for (std::uint32_t v = 0; v < n; ++v) {
       if (!active[v]) continue;

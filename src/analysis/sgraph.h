@@ -70,7 +70,9 @@ struct SgraphInfo {
 };
 
 /// Builds the s-graph and everything derived from it. Deterministic —
-/// a pure function of the netlist. Requires a finalized netlist.
+/// a pure function of the netlist. Requires a finalized netlist. The
+/// supports come from one OR-fold of flip-flop bitsets over the
+/// combinational topological order, O((nodes + edges) * FFs / 64).
 [[nodiscard]] SgraphInfo build_sgraph(const Netlist& netlist);
 
 /// Per-fault observation horizons powering the symbolic engines'
@@ -101,7 +103,9 @@ struct SgraphPlan {
   }
 };
 
-/// Builds a SgraphPlan for `faults` from an already-built SgraphInfo.
+/// Builds a SgraphPlan for `faults` from an already-built SgraphInfo:
+/// one condensation of the node graph (condense_forward) and one max
+/// fold per SCC, O(nodes + edges + faults).
 [[nodiscard]] SgraphPlan build_sgraph_plan(const Netlist& netlist,
                                            const SgraphInfo& info,
                                            const std::vector<Fault>& faults);

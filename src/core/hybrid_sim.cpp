@@ -49,6 +49,14 @@ void HybridFaultSim::set_sgraph_plan(SgraphPlan plan) {
   sgraph_plan_ = std::move(plan);
 }
 
+void HybridFaultSim::set_x01_exact_from(std::vector<std::uint32_t> exact_from) {
+  if (!exact_from.empty() && exact_from.size() != faults_.size()) {
+    throw std::invalid_argument("set_x01_exact_from: vector does not match "
+                                "the fault list");
+  }
+  exact_from_ = std::move(exact_from);
+}
+
 void HybridFaultSim::set_resume(ChunkCheckpoint checkpoint) {
   if (checkpoint.status.size() != faults_.size() ||
       checkpoint.detect_frame.size() != faults_.size() ||
@@ -287,8 +295,27 @@ HybridResult HybridFaultSim::run(
   // values are constant, so verdicts and detection frames are those
   // symbolic mode would produce. No BDD work follows, so no node is
   // created and no space limit can trip; the handles are released
-  // without a collection.
+  // without a collection. Faults the three-valued stage already
+  // simulated exactly past frame t cannot be detected in the rest of
+  // the sequence, so they stay out of the session.
+  const bool drop_exact =
+      !exact_from_.empty() &&
+      (checkpoint_ == nullptr || options_.checkpoint_interval == 0);
   auto enter_binary = [&] {
+    if (drop_exact) {
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const std::uint32_t k = exact_from_[live[i].index];
+        if (k != 0 && k <= t) {
+          ++result.x01_exact_drops;
+          if (live[i].parked) ++result.faults_terminated_early;
+          continue;
+        }
+        if (keep != i) live[keep] = std::move(live[i]);
+        ++keep;
+      }
+      live.resize(keep);
+    }
     const std::vector<Val3> state3 = sym.state_as_val3();
     begin_session(state3, diffs_to_3v(state3));
     sym.release();
@@ -437,10 +464,13 @@ HybridResult HybridFaultSim::run(
     mode_span = telemetry->tracer.span(span_name(mode));
   }
   // Resolved once: the per-frame gauge update must not pay the
-  // registry's map lookup inside the hot loop.
+  // registry's map lookup inside the hot loop. Each engine adds the
+  // change in its own live count, so concurrent shards sum instead of
+  // overwriting each other.
   obs::Gauge* const live_nodes_gauge =
       telemetry != nullptr ? &telemetry->metrics.gauge("bdd.live_nodes")
                             : nullptr;
+  std::size_t reported_live_nodes = 0;
 
   while (t < sequence.size() && live_count() != 0) {
     const Mode frame_mode = mode;
@@ -505,8 +535,9 @@ HybridResult HybridFaultSim::run(
         result.peak_live_nodes =
             std::max(result.peak_live_nodes, mgr.live_node_count());
         if (live_nodes_gauge != nullptr) {
-          live_nodes_gauge->set(
-              static_cast<double>(mgr.live_node_count()));
+          live_nodes_gauge->add(static_cast<double>(mgr.live_node_count()) -
+                                static_cast<double>(reported_live_nodes));
+          reported_live_nodes = mgr.live_node_count();
         }
         obs::log_event(telemetry, obs::LogLevel::Trace, "bdd.gc",
                        {obs::LogField::u64("frame", t),
@@ -645,6 +676,7 @@ HybridResult HybridFaultSim::run(
     m.counter("analysis.faults_terminated_early")
         .add(result.faults_terminated_early);
     m.counter("analysis.mot_downgrades").add(result.mot_downgrades);
+    m.counter("hybrid.x01_exact_drops").add(result.x01_exact_drops);
     m.counter("sym.faultfree_evals_shared")
         .add(result.faultfree_evals_shared);
     // The settled hand-off finishes symbolic-mode work, so its time

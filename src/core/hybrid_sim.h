@@ -54,6 +54,10 @@ struct HybridResult {
   /// variables restarts the clock, so a fault may re-downgrade after
   /// every fallback window or checkpoint sync).
   std::uint64_t mot_downgrades = 0;
+  /// Live faults left out of the settled hand-off because the
+  /// three-valued stage already simulated their remaining frames
+  /// exactly (set_x01_exact_from).
+  std::uint64_t x01_exact_drops = 0;
 };
 
 /// Hybrid fault simulator (paper Sections I and IV.A, following [8]):
@@ -124,6 +128,18 @@ class HybridFaultSim {
   /// horizons. Ignored when options.sgraph is off.
   void set_sgraph_plan(SgraphPlan plan);
 
+  /// Supplies the three-valued stage's FaultSim3Result::exact_from for
+  /// this fault list, over the same sequence from the all-X state.
+  /// At the settled hand-off after frame t, a live fault with
+  /// 0 < exact_from <= t stays out of the three-valued session: that
+  /// stage saw its remaining frames exactly and found no output
+  /// difference, so no strategy can detect it there, and verdicts and
+  /// detection frames are unchanged. Symbolic and window modes never
+  /// consult it. Ignored while checkpoints are emitted, since a
+  /// binary-mode record must carry every live fault's divergence.
+  /// An empty vector (the default) disables the drop.
+  void set_x01_exact_from(std::vector<std::uint32_t> exact_from);
+
   /// Supplies the compiled view of the netlist that the symbolic and
   /// three-valued engines of the run read (read-only, so one view may
   /// serve concurrent runs). Used by the parallel driver to compile
@@ -154,6 +170,7 @@ class HybridFaultSim {
   std::vector<ConstVal> tied_;
   std::optional<TrimPlan> trim_plan_;
   std::optional<SgraphPlan> sgraph_plan_;
+  std::vector<std::uint32_t> exact_from_;
   std::shared_ptr<const LevelizedCircuit> circuit_;
 };
 

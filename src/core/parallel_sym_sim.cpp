@@ -118,6 +118,14 @@ void ParallelSymSim::set_sgraph_plan(SgraphPlan plan) {
   sgraph_plan_ = std::move(plan);
 }
 
+void ParallelSymSim::set_x01_exact_from(std::vector<std::uint32_t> exact_from) {
+  if (!exact_from.empty() && exact_from.size() != faults_.size()) {
+    throw std::invalid_argument("set_x01_exact_from: vector does not match "
+                                "the fault list");
+  }
+  exact_from_ = std::move(exact_from);
+}
+
 std::size_t ParallelSymSim::resolved_threads() const noexcept {
   return options_.threads == 0 ? ThreadPool::default_thread_count()
                                : options_.threads;
@@ -289,6 +297,14 @@ HybridResult ParallelSymSim::run(
           }
           sim.set_sgraph_plan(std::move(chunk_splan));
         }
+        if (!exact_from_.empty()) {
+          std::vector<std::uint32_t> chunk_exact;
+          chunk_exact.reserve(end - begin);
+          for (std::size_t k = begin; k < end; ++k) {
+            chunk_exact.push_back(exact_from_[live[k]]);
+          }
+          sim.set_x01_exact_from(std::move(chunk_exact));
+        }
         const obs::SpanTracer::Span shard_span =
             obs::open_span(telemetry, "shard");
         const Stopwatch shard_timer;
@@ -351,6 +367,7 @@ HybridResult ParallelSymSim::run(
     merged.faults_terminated_early += r.faults_terminated_early;
     merged.faultfree_evals_shared += r.faultfree_evals_shared;
     merged.mot_downgrades += r.mot_downgrades;
+    merged.x01_exact_drops += r.x01_exact_drops;
     merged.peak_live_nodes =
         std::max(merged.peak_live_nodes, r.peak_live_nodes);
   }

@@ -68,7 +68,8 @@ inline constexpr std::size_t kDefaultChunkSize = 64;
 ///
 /// The merged HybridResult: per-fault status/detect_frame are written
 /// into the global fault order; detected_count, fallback_windows,
-/// symbolic_frames, three_valued_frames and binary_frames are summed
+/// symbolic_frames, three_valued_frames, binary_frames and the other
+/// event counters (x01_exact_drops among them) are summed
 /// over shards (each shard walks the whole sequence, so frame counters
 /// scale with the shard count); peak_live_nodes is the max over
 /// shards; used_fallback is the OR.
@@ -130,6 +131,12 @@ class ParallelSymSim {
   /// Ignored when the pass is off.
   void set_sgraph_plan(SgraphPlan plan);
 
+  /// Supplies the three-valued stage's exact_from in this fault list's
+  /// global indexing (see HybridFaultSim::set_x01_exact_from); the
+  /// driver slices it per chunk. Empty (the default) disables the
+  /// hand-off drop.
+  void set_x01_exact_from(std::vector<std::uint32_t> exact_from);
+
   /// Thread count after resolving 0 to the hardware default.
   [[nodiscard]] std::size_t resolved_threads() const noexcept;
   /// Shard size after resolving 0 to kDefaultChunkSize.
@@ -149,6 +156,7 @@ class ParallelSymSim {
   std::vector<ConstVal> tied_;
   std::optional<TrimPlan> trim_plan_;
   std::optional<SgraphPlan> sgraph_plan_;
+  std::vector<std::uint32_t> exact_from_;
 };
 
 }  // namespace motsim

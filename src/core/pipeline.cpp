@@ -121,6 +121,10 @@ PipelineResult run_pipeline(const Netlist& netlist,
   // One compiled view of the netlist for the three-valued and the
   // symbolic stage.
   const auto circuit = std::make_shared<const LevelizedCircuit>(netlist);
+  // Per fault, the frame after which the three-valued stage was exact
+  // (FaultSim3Result::exact_from); the symbolic stage's settled
+  // hand-off skips faults already simulated exactly past that point.
+  std::vector<std::uint32_t> exact_from;
 
   // ---- Stage 2: three-valued simulation ----------------------------------
   {
@@ -134,11 +138,12 @@ PipelineResult run_pipeline(const Netlist& netlist,
     const std::unique_ptr<FaultSimulator3> sim =
         make_fault_simulator3(options.sim3_backend, circuit, faults, ec);
     sim->set_initial_status(status);
-    const FaultSim3Result r3 = sim->run(sequence);
+    FaultSim3Result r3 = sim->run(sequence);
     result.seconds_3v = timer.elapsed_seconds();
     result.detected_3v = r3.detected_count;
     status = std::move(r3.status);
     result.detect_frame = std::move(r3.detect_frame);
+    exact_from = std::move(r3.exact_from);
     finish_stage(telemetry, progress, span, "sim3", result.seconds_3v);
   }
 
@@ -183,6 +188,9 @@ PipelineResult run_pipeline(const Netlist& netlist,
                               sgraph_plan->finite_horizon_count()),
            obs::LogField::u64("faults", faults.size())});
     }
+    // A checkpointed run must keep every fault's binary-mode divergence
+    // in its records, so it keeps the whole hand-off.
+    if (checkpoint != nullptr) exact_from.clear();
     HybridResult rs;
     if (options.threads == 1) {
       HybridFaultSim sym(netlist, faults, options);
@@ -193,6 +201,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
+      sym.set_x01_exact_from(std::move(exact_from));
       rs = sym.run(sequence);
     } else {
       ParallelSymSim sym(netlist, faults, options);
@@ -202,6 +211,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
+      sym.set_x01_exact_from(std::move(exact_from));
       rs = sym.run(sequence);
     }
     result.seconds_symbolic = timer.elapsed_seconds();

@@ -85,7 +85,10 @@ struct PipelineResult {
 /// X-redundant faults are skipped by the three-valued stage (that is
 /// the whole point of ID_X-red) but handed to the symbolic stage
 /// together with the three-valued leftovers — symbolic simulation can
-/// detect faults that are undetectable under three-valued logic.
+/// detect faults that are undetectable under three-valued logic. The
+/// three-valued stage's exact_from goes to the symbolic stage, whose
+/// settled hand-off then skips faults that stage already simulated
+/// exactly (not passed when `checkpoint` is set).
 ///
 /// `options` is validated first (std::invalid_argument carrying the
 /// validate() message on failure).

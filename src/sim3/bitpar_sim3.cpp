@@ -320,31 +320,52 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
   return words;
 }
 
-void BitParFaultSim3::latch_group(Group& grp, const Val3* good,
-                                  const Scratch& s) const {
+std::uint64_t BitParFaultSim3::latch_group(Group& grp, const Val3* good,
+                                           const Scratch& s) const {
   const LevelizedCircuit& lc = *lc_;
   const NodeIndex* dff_d = lc.dff_d().data();
+  // X slots over the divergent planes: x1 = an X on at least one
+  // flip-flop, x2 = on at least two. A slot carries one fault, hence at
+  // most one latch force, so x2 tells below whether a forced slot keeps
+  // an X elsewhere once its own flip-flop turns binary.
+  std::uint64_t x1 = 0;
+  std::uint64_t x2 = 0;
   for (std::size_t i = 0; i < lc.dff_d().size(); ++i) {
     const NodeIndex d = dff_d[i];
     if (s.nodes[d].stamp == s.epoch) {
-      grp.state[i] = s.nodes[d].val;
+      const PackedVal3 v = s.nodes[d].val;
+      grp.state[i] = v;
       grp.state_dirty[i] = 1;
+      const std::uint64_t x = ~(v.ones | v.zeros);
+      x2 |= x1 & x;
+      x1 |= x;
     } else {
       // The D plane equals the fault-free one, so the latched state
       // does too: mark clean instead of storing it.
       grp.state_dirty[i] = 0;
     }
   }
+  std::uint64_t xbits = x1;
   for (const auto& [pos, force] : grp.latch_forces) {
-    const PackedVal3 base =
-        grp.state_dirty[pos] ? grp.state[pos] : bcast(good[dff_d[pos]]);
+    const std::uint64_t forced = force.ones | force.zeros;
+    std::uint64_t was_x = 0;
+    PackedVal3 base;
+    if (grp.state_dirty[pos]) {
+      base = grp.state[pos];
+      was_x = ~(base.ones | base.zeros) & forced;
+    } else {
+      base = bcast(good[dff_d[pos]]);
+    }
     grp.state[pos] = apply_force(base, force);
     grp.state_dirty[pos] = 1;
+    xbits = (xbits & ~forced) | (forced & ((was_x & x2) | (~was_x & x1)));
   }
+  return xbits;
 }
 
 std::uint64_t BitParFaultSim3::simulate_frame(Group& grp, std::size_t t,
                                               const Val3* good,
+                                              bool good_state_binary,
                                               Scratch& scratch,
                                               FaultSim3Result& result) const {
   const LevelizedCircuit& lc = *lc_;
@@ -375,18 +396,26 @@ std::uint64_t BitParFaultSim3::simulate_frame(Group& grp, std::size_t t,
     if (grp.alive == 0) return words;
   }
 
-  latch_group(grp, good, scratch);
+  const std::uint64_t xbits = latch_group(grp, good, scratch);
+  const std::uint64_t binary = good_state_binary ? grp.alive & ~xbits : 0;
+  for (std::uint64_t fresh = binary & ~grp.binary; fresh != 0;
+       fresh &= fresh - 1) {
+    grp.binary_since[std::countr_zero(fresh)] =
+        static_cast<std::uint32_t>(t + 1);
+  }
+  grp.binary = binary;
   return words;
 }
 
 BitParFaultSim3::ChunkStats BitParFaultSim3::simulate_chunk(
     Group& grp, std::size_t base,
-    const std::vector<std::vector<Val3>>& good_frames, Scratch& scratch,
+    const std::vector<std::vector<Val3>>& good_frames,
+    const std::vector<std::uint8_t>& good_binary, Scratch& scratch,
     FaultSim3Result& result) const {
   ChunkStats stats;
   for (std::size_t f = 0; f < good_frames.size() && grp.alive != 0; ++f) {
     stats.words += simulate_frame(grp, base + f, good_frames[f].data(),
-                                  scratch, result);
+                                  good_binary[f] != 0, scratch, result);
     ++stats.frames;
   }
   return stats;
@@ -399,6 +428,7 @@ FaultSim3Result BitParFaultSim3::run(
   FaultSim3Result result;
   result.status = initial_status_;
   result.detect_frame.assign(faults_.size(), 0);
+  result.exact_from.assign(faults_.size(), 0);
 
   // Group the live faults by cone locality: the netlist's topological
   // order is depth-first flavored, so it emits whole fanin cones
@@ -434,18 +464,13 @@ FaultSim3Result BitParFaultSim3::run(
     groups.back().state_dirty.assign(lc.dffs().size(), 1);
   }
 
-  auto run_chunk = [&](Group& grp, std::size_t base,
-                       const std::vector<std::vector<Val3>>& good_frames,
-                       Scratch& scratch) {
-    std::optional<obs::SpanTracer::Span> span;
-    if (telemetry_ != nullptr) span = telemetry_->tracer.span("sim3.batch");
-    const ChunkStats stats =
-        simulate_chunk(grp, base, good_frames, scratch, result);
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics.counter("sim3.words_evaluated").add(stats.words);
-      telemetry_->metrics.counter("sim3.batches").add(1);
-      telemetry_->metrics.counter("sim3.levels")
-          .add(lc.level_count() * stats.frames);
+  // Per-fault X-free streak starts (Group::binary_since), parked here
+  // while compaction repacks the groups and when the run ends.
+  std::vector<std::uint32_t> binary_since(faults_.size(), 0);
+  auto save_streaks = [&binary_since](const Group& grp) {
+    for (std::size_t s = 0; s < grp.members.size(); ++s) {
+      binary_since[grp.members[s]] =
+          (grp.binary >> s & 1) != 0 ? grp.binary_since[s] : 0;
     }
   };
 
@@ -454,6 +479,21 @@ FaultSim3Result BitParFaultSim3::run(
   // fly, which keeps the per-frame good row at one byte per node.
   GoodSim3 good(lc_);
   std::vector<std::vector<Val3>> good_frames;
+  std::vector<std::uint8_t> good_binary;  ///< next state X-free, per frame
+
+  auto run_chunk = [&](Group& grp, std::size_t base, Scratch& scratch) {
+    std::optional<obs::SpanTracer::Span> span;
+    if (telemetry_ != nullptr) span = telemetry_->tracer.span("sim3.batch");
+    const ChunkStats stats =
+        simulate_chunk(grp, base, good_frames, good_binary, scratch, result);
+    if (telemetry_ != nullptr) {
+      telemetry_->metrics.counter("sim3.words_evaluated").add(stats.words);
+      telemetry_->metrics.counter("sim3.batches").add(1);
+      telemetry_->metrics.counter("sim3.levels")
+          .add(lc.level_count() * stats.frames);
+    }
+  };
+
   std::optional<Scratch> serial_scratch;
   const std::size_t dff_count = lc.dffs().size();
   for (std::size_t base = 0; base < sequence.size(); base += kChunkFrames) {
@@ -478,6 +518,7 @@ FaultSim3Result BitParFaultSim3::run(
         std::vector<Val3> snap;  // nlive-major, dff-minor
         snap.reserve(still * dff_count);
         for (const Group& grp : groups) {
+          save_streaks(grp);
           for (std::size_t s = 0; s < grp.members.size(); ++s) {
             const std::size_t idx = grp.members[s];
             if (result.status[idx] != FaultStatus::Undetected) continue;
@@ -495,6 +536,10 @@ FaultSim3Result BitParFaultSim3::run(
           const std::size_t count =
               std::min<std::size_t>(kPackedSlots, nlive.size() - at);
           Group grp = build_group(nlive.data() + at, count);
+          for (std::size_t s = 0; s < count; ++s) {
+            grp.binary_since[s] = binary_since[nlive[at + s]];
+            grp.binary |= std::uint64_t{grp.binary_since[s] != 0} << s;
+          }
           grp.state.resize(dff_count);
           grp.state_dirty.assign(dff_count, 0);
           for (std::size_t i = 0; i < dff_count; ++i) {
@@ -516,9 +561,12 @@ FaultSim3Result BitParFaultSim3::run(
       }
     }
     good_frames.resize(len);
+    good_binary.resize(len);
     for (std::size_t f = 0; f < len; ++f) {
       good.step(sequence[base + f]);
       good_frames[f] = good.values();
+      good_binary[f] = std::all_of(good.state().begin(), good.state().end(),
+                                   is_binary);
     }
 
     bool any_alive = false;
@@ -529,9 +577,9 @@ FaultSim3Result BitParFaultSim3::run(
         any_alive = true;
         // Distinct groups write distinct result entries, so the tasks
         // never alias; telemetry counters are thread-safe.
-        pool_->submit([&run_chunk, &grp, base, &good_frames, this] {
+        pool_->submit([&run_chunk, &grp, base, this] {
           Scratch scratch(*lc_);
-          run_chunk(grp, base, good_frames, scratch);
+          run_chunk(grp, base, scratch);
         });
       }
       pool_->wait_idle();
@@ -552,8 +600,8 @@ FaultSim3Result BitParFaultSim3::run(
         for (Group& grp : groups) {
           if (grp.alive == 0) continue;
           any_alive = true;
-          words += simulate_frame(grp, base + f, gvals, *serial_scratch,
-                                  result);
+          words += simulate_frame(grp, base + f, gvals, good_binary[f] != 0,
+                                  *serial_scratch, result);
           ++group_frames;
         }
       }
@@ -568,11 +616,17 @@ FaultSim3Result BitParFaultSim3::run(
   }
 
   // Recount instead of accumulating per group: initial-status entries
-  // other than Undetected were never simulated.
+  // other than Undetected were never simulated. Survivors turn their
+  // X-free streak into exact_from.
+  for (const Group& grp : groups) save_streaks(grp);
+  const std::uint32_t last_x =
+      last_nonbinary_frame(sequence, lc.netlist().input_count());
   for (std::size_t i = 0; i < faults_.size(); ++i) {
-    if (initial_status_[i] == FaultStatus::Undetected &&
-        result.status[i] == FaultStatus::DetectedSim3) {
+    if (initial_status_[i] != FaultStatus::Undetected) continue;
+    if (result.status[i] == FaultStatus::DetectedSim3) {
       ++result.detected_count;
+    } else if (binary_since[i] != 0) {
+      result.exact_from[i] = std::max(binary_since[i], last_x);
     }
   }
   return result;

@@ -1,6 +1,7 @@
 #ifndef MOTSIM_SIM3_BITPAR_SIM3_H
 #define MOTSIM_SIM3_BITPAR_SIM3_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -124,6 +125,11 @@ class BitParFaultSim3 final : public FaultSimulator3 {
     std::vector<PackedVal3> state;
     std::vector<std::uint8_t> state_dirty;
     std::uint64_t alive = 0;  ///< not-detected (run) / not-dropped
+    /// Campaign runs (FaultSim3Result::exact_from): slots whose state
+    /// has been X-free after every frame since binary_since[slot],
+    /// with an X-free fault-free state too.
+    std::uint64_t binary = 0;
+    std::array<std::uint32_t, kPackedSlots> binary_since{};
   };
 
   /// One node's scratch record: the plane and its epoch stamp share a
@@ -163,28 +169,37 @@ class BitParFaultSim3 final : public FaultSimulator3 {
   std::uint64_t eval_frame_sparse(const Group& group, const Val3* good,
                                   std::uint64_t mask, Scratch& s) const;
   /// Latches the planes left by the matching eval_frame_sparse()
-  /// (untouched D-pins fall back to the fault-free plane).
-  void latch_group(Group& group, const Val3* good, const Scratch& s) const;
+  /// (untouched D-pins fall back to the fault-free plane). Returns the
+  /// slots whose latched state holds an X on some flip-flop whose plane
+  /// diverges from the fault-free one; slots equal to the fault-free
+  /// state elsewhere are X-free exactly when the fault-free state is.
+  std::uint64_t latch_group(Group& group, const Val3* good,
+                            const Scratch& s) const;
   /// Campaign kernel for one group over one frame (index `t` in the
   /// sequence): sparse evaluation, SOT detection against the alive
-  /// mask, then latching. Returns the packed gate words evaluated.
-  /// The caller must not invoke this once `group.alive` is zero.
+  /// mask, then latching and the X-free streak update
+  /// (`good_state_binary`: the fault-free next state is X-free).
+  /// Returns the packed gate words evaluated. The caller must not
+  /// invoke this once `group.alive` is zero.
   std::uint64_t simulate_frame(Group& group, std::size_t t,
-                               const Val3* good, Scratch& scratch,
+                               const Val3* good, bool good_state_binary,
+                               Scratch& scratch,
                                FaultSim3Result& result) const;
   struct ChunkStats {
     std::uint64_t words = 0;   ///< packed gate words evaluated
     std::uint64_t frames = 0;  ///< frames advanced (early exit cuts short)
   };
   /// One group over one chunk of frames (`good_frames[f]` = fault-free
-  /// node values of frame `base + f`) — the unit of thread-pool
-  /// batching. The serial path instead sweeps frame-outer over all
-  /// groups for cache locality; both orders visit the same
-  /// (group, frame) cells, so results are identical.
+  /// node values of frame `base + f`, `good_binary[f]` = its next state
+  /// is X-free) — the unit of thread-pool batching. The serial path
+  /// instead sweeps frame-outer over all groups for cache locality;
+  /// both orders visit the same (group, frame) cells, so results are
+  /// identical.
   ChunkStats simulate_chunk(
       Group& group, std::size_t base,
       const std::vector<std::vector<Val3>>& good_frames,
-      Scratch& scratch, FaultSim3Result& result) const;
+      const std::vector<std::uint8_t>& good_binary, Scratch& scratch,
+      FaultSim3Result& result) const;
 
   std::shared_ptr<const LevelizedCircuit> lc_;
   std::size_t threads_;

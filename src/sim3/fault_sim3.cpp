@@ -1,5 +1,6 @@
 #include "sim3/fault_sim3.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace motsim {
@@ -127,10 +128,14 @@ FaultSim3Result FaultSim3::run(
   FaultSim3Result result;
   result.status = initial_status_;
   result.detect_frame.assign(faults_.size(), 0);
+  result.exact_from.assign(faults_.size(), 0);
 
   struct Live {
     std::size_t index;
     StateDiff3 state_diff;
+    /// First frame of the current run of frames after which both
+    /// states were X-free; 0 while the run is broken.
+    std::uint32_t binary_since = 0;
   };
   std::vector<Live> live;
   live.reserve(faults_.size());
@@ -146,23 +151,44 @@ FaultSim3Result FaultSim3::run(
     good.step(sequence[t]);
     const std::vector<Val3>& good_values = good.values();
     const std::vector<Val3>& good_next = good.state();
+    const bool good_binary =
+        std::all_of(good_next.begin(), good_next.end(), is_binary);
+    const auto frame = static_cast<std::uint32_t>(t + 1);
 
     std::size_t keep = 0;
     for (std::size_t i = 0; i < live.size(); ++i) {
-      if (propagator_.step(faults_[live[i].index], live[i].state_diff,
-                           good_values, good_next)) {
-        result.status[live[i].index] = FaultStatus::DetectedSim3;
-        result.detect_frame[live[i].index] =
-            static_cast<std::uint32_t>(t + 1);
+      Live& lf = live[i];
+      if (propagator_.step(faults_[lf.index], lf.state_diff, good_values,
+                           good_next)) {
+        result.status[lf.index] = FaultStatus::DetectedSim3;
+        result.detect_frame[lf.index] = frame;
         ++result.detected_count;
-      } else {
-        if (keep != i) live[keep] = std::move(live[i]);
-        ++keep;
+        continue;
       }
+      // The faulty state is X-free iff the fault-free one is and every
+      // divergent entry is binary.
+      const bool binary =
+          good_binary &&
+          std::all_of(lf.state_diff.begin(), lf.state_diff.end(),
+                      [](const auto& entry) { return is_binary(entry.second); });
+      if (!binary) {
+        lf.binary_since = 0;
+      } else if (lf.binary_since == 0) {
+        lf.binary_since = frame;
+      }
+      if (keep != i) live[keep] = std::move(lf);
+      ++keep;
     }
     live.resize(keep);
   }
 
+  const std::uint32_t last_x =
+      last_nonbinary_frame(sequence, netlist_->input_count());
+  for (const Live& lf : live) {
+    if (lf.binary_since != 0) {
+      result.exact_from[lf.index] = std::max(lf.binary_since, last_x);
+    }
+  }
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "sim3/fault_simulator.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -36,6 +37,17 @@ Sim3Backend default_sim3_backend() {
     return Sim3Backend::BitPar;
   }();
   return cached;
+}
+
+std::uint32_t last_nonbinary_frame(
+    const std::vector<std::vector<Val3>>& sequence, std::size_t input_count) {
+  for (std::size_t t = sequence.size(); t > 0; --t) {
+    const std::vector<Val3>& v = sequence[t - 1];
+    if (v.size() != input_count || !std::all_of(v.begin(), v.end(), is_binary)) {
+      return static_cast<std::uint32_t>(t);
+    }
+  }
+  return 0;
 }
 
 FaultSimulator3::FaultSimulator3(std::vector<Fault> faults)

@@ -55,7 +55,20 @@ struct FaultSim3Result {
   std::vector<std::uint32_t> detect_frame;
   std::size_t detected_count = 0;
   std::size_t simulated_faults = 0;  ///< faults actually simulated
+  /// Per fault still undetected at the end: the first frame k (1-based)
+  /// after which the fault-free and the faulty state are both X-free
+  /// and every later input vector is binary. From frame k on both
+  /// machines are binary, so three-valued simulation is exact there:
+  /// the fault's outputs after frame k equal the fault-free ones for
+  /// every initial state, and no observation strategy can detect it
+  /// later. 0 = never (and for detected or unsimulated faults).
+  std::vector<std::uint32_t> exact_from;
 };
+
+/// Last frame (1-based) whose input vector holds an X or does not have
+/// `input_count` entries; 0 when every vector is binary and well formed.
+[[nodiscard]] std::uint32_t last_nonbinary_frame(
+    const std::vector<std::vector<Val3>>& sequence, std::size_t input_count);
 
 /// Abstract three-valued (0/1/X) fault simulator over one fixed fault
 /// list. Two interchangeable backends implement it: the serial

@@ -129,6 +129,8 @@ void expect_same_results(const Netlist& nl, const TestSequence& seq,
         << nl.name() << " " << fault_name(nl, c.faults()[i]);
     EXPECT_EQ(rs.detect_frame[i], rp.detect_frame[i])
         << nl.name() << " " << fault_name(nl, c.faults()[i]);
+    EXPECT_EQ(rs.exact_from[i], rp.exact_from[i])
+        << nl.name() << " " << fault_name(nl, c.faults()[i]);
   }
 }
 
@@ -166,6 +168,71 @@ TEST(BitParFaultSim3, ThreadCountNeverChangesResults) {
   const TestSequence seq = random_sequence(nl, 30, rng);
   expect_same_results(nl, seq, nullptr, /*threads=*/1);
   expect_same_results(nl, seq, nullptr, /*threads=*/3);
+}
+
+TEST(BitParFaultSim3, ExactFromMatchesEventBackendAndThreadCounts) {
+  // Settled circuits, long enough for chunk-boundary compaction to
+  // repack groups mid-streak, once with X vectors early and late in
+  // the sequence (exact_from never precedes the last one).
+  for (const char* name : {"s386", "s713", "s1488", "s1494"}) {
+    const Netlist nl = make_benchmark(name);
+    const CollapsedFaultList c(nl);
+    Rng rng(41);
+    TestSequence seq = random_sequence(nl, 200, rng);
+    for (const bool with_x : {false, true}) {
+      if (with_x) {
+        seq[3][0] = Val3::X;
+        seq[120][nl.input_count() - 1] = Val3::X;
+      }
+      const std::uint32_t last_x = with_x ? 121 : 0;
+      EXPECT_EQ(last_nonbinary_frame(seq, nl.input_count()), last_x);
+      FaultSim3 event(nl, c.faults());
+      const FaultSim3Result re = event.run(seq);
+      std::size_t exact = 0;
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        if (re.exact_from[i] == 0) continue;
+        ++exact;
+        EXPECT_EQ(re.status[i], FaultStatus::Undetected);
+        EXPECT_GE(re.exact_from[i], last_x);
+        EXPECT_LE(re.exact_from[i], seq.size());
+      }
+      EXPECT_GT(exact, 0u) << name;  // not vacuous
+      for (const std::size_t threads : {1u, 4u}) {
+        BitParFaultSim3 bitpar(nl, c.faults(), threads);
+        EXPECT_EQ(bitpar.run(seq).exact_from, re.exact_from)
+            << name << " threads=" << threads << (with_x ? " with X" : "");
+      }
+    }
+  }
+}
+
+TEST(BitParFaultSim3, ExactFromCountsALatchForcedFlipFlopAsBinary) {
+  // p's D pin is stuck at 1. In frame 2 the fault-free machine
+  // synchronizes (q <- q & a with a = 0, p <- p & q & b with p = 0),
+  // while the faulty machine computes X for p's D input (p = 1, q = X)
+  // that the stuck pin then overrides: both next states are X-free, so
+  // exact_from is 2 — not 3, as it would be if the X of the D plane
+  // counted.
+  Netlist nl("forced");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex q = nl.add_dff(kNoNode, "q");
+  const NodeIndex p = nl.add_dff(kNoNode, "p");
+  nl.set_fanins(q, {nl.add_gate(GateType::And, {q, a}, "dq")});
+  nl.set_fanins(p, {nl.add_gate(GateType::And, {p, q, b}, "dp")});
+  nl.mark_output(nl.add_gate(GateType::Buf, {a}, "o"));
+  nl.finalize();
+  const std::vector<Fault> faults{Fault{FaultSite{p, 0}, true}};
+  const TestSequence seq{{Val3::One, Val3::Zero},
+                         {Val3::Zero, Val3::One},
+                         {Val3::Zero, Val3::One}};
+
+  FaultSim3 event(nl, faults);
+  BitParFaultSim3 bitpar(nl, faults);
+  const FaultSim3Result re = event.run(seq);
+  ASSERT_EQ(re.status[0], FaultStatus::Undetected);
+  EXPECT_EQ(re.exact_from[0], 2u);
+  EXPECT_EQ(bitpar.run(seq).exact_from, re.exact_from);
 }
 
 TEST(BitParFaultSim3, RespectsInitialStatus) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,9 +15,13 @@
 #include "bench_data/s27.h"
 #include "bench_data/synth_gen.h"
 #include "core/hybrid_sim.h"
+#include "core/parallel_sym_sim.h"
+#include "core/pipeline.h"
+#include "core/xred.h"
 #include "core/sym_fault_sim.h"
 #include "faults/collapse.h"
 #include "obs/telemetry.h"
+#include "sim3/fault_simulator.h"
 #include "reference.h"
 #include "tpg/sequences.h"
 #include "util/rng.h"
@@ -442,6 +447,156 @@ TEST(HybridBinaryHandOff, CheckpointResumeAcrossBinaryMode) {
       expect_same_record(tail.records[j], full.records[k + 1 + j], what);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// X01-exact hand-off drop: faults the three-valued stage simulated
+// exactly past the hand-off frame stay out of the binary session, with
+// unchanged verdicts and frames (docs/ALGORITHMS.md)
+// ---------------------------------------------------------------------------
+
+struct ExactCase {
+  const char* circuit;
+  std::uint64_t seed;
+  Strategy strategy;
+  std::size_t node_limit;
+  bool expect_drops;    ///< the drop must fire
+  bool expect_windows;  ///< fallback windows must open
+  bool sharded;         ///< also compare a 4-thread run
+};
+
+class X01ExactHandOff : public ::testing::TestWithParam<ExactCase> {};
+
+TEST_P(X01ExactHandOff, PipelineMatchesHandOffWithoutTheVector) {
+  const ExactCase& k = GetParam();
+  const Netlist nl = make_benchmark(k.circuit);
+  const CollapsedFaultList c(nl);
+  Rng rng(k.seed);
+  const TestSequence seq = random_sequence(nl, 200, rng);
+  SimOptions opts;
+  opts.strategy = k.strategy;
+  opts.node_limit = k.node_limit;
+
+  // The pipeline's stages 1 and 2 by hand.
+  std::vector<FaultStatus> status = run_id_x_red(nl, seq).classify(c.faults());
+  const std::unique_ptr<FaultSimulator3> x01 =
+      make_fault_simulator3(opts.sim3_backend, nl, c.faults());
+  x01->set_initial_status(status);
+  const FaultSim3Result r3 = x01->run(seq);
+  std::vector<FaultStatus> leftover = r3.status;
+  for (FaultStatus& st : leftover) {
+    if (st == FaultStatus::XRedundant) st = FaultStatus::Undetected;
+  }
+
+  HybridFaultSim plain(nl, c.faults(), opts);
+  plain.set_initial_status(leftover);
+  const HybridResult rp = plain.run(seq);
+  HybridFaultSim dropping(nl, c.faults(), opts);
+  dropping.set_initial_status(leftover);
+  dropping.set_x01_exact_from(r3.exact_from);
+  const HybridResult rd = dropping.run(seq);
+
+  EXPECT_EQ(rp.x01_exact_drops, 0u);
+  EXPECT_EQ(rd.status, rp.status);
+  EXPECT_EQ(rd.detect_frame, rp.detect_frame);
+  // Symbolic and window modes never consult the vector.
+  EXPECT_EQ(rd.symbolic_frames, rp.symbolic_frames);
+  EXPECT_EQ(rd.three_valued_frames, rp.three_valued_frames);
+  EXPECT_EQ(rd.fallback_windows, rp.fallback_windows);
+  if (k.expect_drops) {
+    EXPECT_GT(rd.x01_exact_drops, 0u);
+  }
+  if (k.expect_windows) {
+    EXPECT_GT(rp.fallback_windows, 0u);
+  }
+
+  // run_pipeline passes the vector; its merged verdicts must equal the
+  // merge of the stages above without it.
+  for (const std::size_t threads : {1u, 4u}) {
+    if (threads != 1 && !k.sharded) continue;
+    SimOptions po = opts;
+    po.threads = threads;
+    const PipelineResult pr = run_pipeline(nl, c.faults(), seq, po);
+    std::vector<FaultStatus> merged = r3.status;
+    std::vector<std::uint32_t> frames = r3.detect_frame;
+    HybridResult rs = rp;
+    if (threads != 1) {
+      ParallelSymSim sharded(nl, c.faults(), po);
+      sharded.set_initial_status(leftover);
+      rs = sharded.run(seq);
+    }
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (rs.detect_frame[i] != 0) {
+        merged[i] = rs.status[i];
+        frames[i] = rs.detect_frame[i];
+      }
+    }
+    EXPECT_EQ(pr.status, merged) << "threads=" << threads;
+    EXPECT_EQ(pr.detect_frame, frames) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, X01ExactHandOff,
+    // s953 runs serially only: its sharded run takes seconds.
+    ::testing::Values(
+        ExactCase{"s713", 1, Strategy::Mot, 30000, true, false, true},
+        ExactCase{"s1488", 1, Strategy::Mot, 30000, true, false, true},
+        ExactCase{"s1494", 1, Strategy::Mot, 30000, true, false, true},
+        ExactCase{"s953", 8, Strategy::Mot, 30000, false, true, false},
+        ExactCase{"s526", 2, Strategy::Rmot, 2000, false, true, true}));
+
+TEST(X01ExactHandOff, DropsOnlyFaultsExactByTheHandOffFrame) {
+  // q <- q XOR q is the constant 0 symbolically but X forever in
+  // three-valued logic, so the hybrid settles after frame 1 while X01
+  // never does. Input a stuck-at-1 shows at o = q | a once a = 0, which
+  // only the binary session sees: detected at frame 3.
+  Netlist nl("xorself");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex q = nl.add_dff(kNoNode, "q");
+  nl.set_fanins(q, {nl.add_gate(GateType::Xor,
+                                {q, nl.add_gate(GateType::Buf, {q}, "q2")},
+                                "dq")});
+  nl.mark_output(nl.add_gate(GateType::Or, {q, a}, "o"));
+  nl.finalize();
+  const std::vector<Fault> faults{Fault{FaultSite{a, kStemPin}, true}};
+  const TestSequence seq{{Val3::One}, {Val3::One}, {Val3::Zero}, {Val3::Zero}};
+
+  const std::unique_ptr<FaultSimulator3> x01 =
+      make_fault_simulator3(default_sim3_backend(), nl, faults);
+  const FaultSim3Result r3 = x01->run(seq);
+  EXPECT_EQ(r3.status[0], FaultStatus::Undetected);
+  EXPECT_EQ(r3.exact_from[0], 0u);
+
+  // The hand-off fires after frame 1: a fault is left out only when
+  // its exact_from is nonzero and at most 1.
+  for (const std::uint32_t k : {0u, 1u, 2u}) {
+    HybridFaultSim hybrid(nl, faults, ample(Strategy::Mot));
+    hybrid.set_x01_exact_from({k});
+    const HybridResult r = hybrid.run(seq);
+    EXPECT_EQ(r.symbolic_frames, 1u);
+    EXPECT_EQ(r.binary_frames, k == 1 ? 0u : 2u);  // frames 2 and 3
+    EXPECT_EQ(r.x01_exact_drops, k == 1 ? 1u : 0u) << "exact_from " << k;
+    EXPECT_EQ(r.detect_frame[0], k == 1 ? 0u : 3u) << "exact_from " << k;
+  }
+
+  SimOptions opts = ample(Strategy::Mot);
+  const PipelineResult pr = run_pipeline(nl, faults, seq, opts);
+  EXPECT_EQ(pr.status[0], FaultStatus::DetectedMot);
+  EXPECT_EQ(pr.detect_frame[0], 3u);
+}
+
+TEST(X01ExactHandOff, MisalignedVectorIsRejected) {
+  const Netlist nl = make_benchmark("s27");
+  const CollapsedFaultList c(nl);
+  HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot));
+  EXPECT_THROW(hybrid.set_x01_exact_from(std::vector<std::uint32_t>(1, 0)),
+               std::invalid_argument);
+  SimOptions pc = ample(Strategy::Mot);
+  pc.threads = 2;
+  ParallelSymSim par(nl, c.faults(), pc);
+  EXPECT_THROW(par.set_x01_exact_from(std::vector<std::uint32_t>(1, 0)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/cone.h"
 #include "analysis/diagnostics.h"
 #include "analysis/lint.h"
 #include "analysis/sgraph.h"
@@ -185,6 +186,83 @@ TEST(SgraphStructure, S27IsEntirelyCyclic) {
   ASSERT_EQ(plan.horizon.size(), c.size());
   EXPECT_EQ(plan.finite_horizon_count(), 0u);
   EXPECT_EQ(plan.nontrivial_sccs, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Linear passes against per-walk references
+// ---------------------------------------------------------------------------
+
+/// Frame-local flip-flop support of `node` by one backward ConeWalker
+/// walk that stops at flip-flops (a flip-flop node is its own
+/// support): the definition the bitset fold of build_sgraph computes.
+std::vector<std::uint32_t> walk_support(const Netlist& nl, ConeWalker& walker,
+                                        NodeIndex node) {
+  if (nl.type(node) == GateType::Dff) return {nl.dff_position(node)};
+  std::vector<std::uint32_t> ffs;
+  walker.run(ConeDir::Backward, {node}, /*cross_dffs=*/false);
+  for (const NodeIndex m : walker.visited()) {
+    if (nl.type(m) == GateType::Dff) ffs.push_back(nl.dff_position(m));
+  }
+  std::sort(ffs.begin(), ffs.end());
+  return ffs;
+}
+
+/// Checks preds and output horizons against per-flip-flop and
+/// per-output walks, and the plan horizons of (about)
+/// `max_checked_faults` evenly spaced faults against per-fault forward
+/// walks crossing flip-flops.
+void expect_matches_walks(const Netlist& nl, std::size_t max_checked_faults) {
+  const SgraphInfo info = build_sgraph(nl);
+  ConeWalker walker(nl);
+  for (std::size_t i = 0; i < nl.dff_count(); ++i) {
+    const NodeIndex d = nl.gate(nl.dffs()[i]).fanins[0];
+    EXPECT_EQ(info.preds[i], walk_support(nl, walker, d))
+        << nl.name() << " preds of flip-flop " << i;
+  }
+  for (std::size_t j = 0; j < nl.output_count(); ++j) {
+    std::uint32_t h = 0;
+    for (const std::uint32_t u : walk_support(nl, walker, nl.outputs()[j])) {
+      h = std::max(h, info.init_depth[u]);
+    }
+    EXPECT_EQ(info.output_horizon[j], h) << nl.name() << " output " << j;
+  }
+
+  const CollapsedFaultList c(nl);
+  const SgraphPlan plan = build_sgraph_plan(nl, info, c.faults());
+  ASSERT_EQ(plan.horizon.size(), c.size());
+  const std::size_t stride =
+      std::max<std::size_t>(1, c.size() / max_checked_faults);
+  for (std::size_t i = 0; i < c.size(); i += stride) {
+    walker.run(ConeDir::Forward, {c.faults()[i].site.node});
+    std::uint32_t h = 0;
+    for (std::size_t j = 0; j < nl.output_count(); ++j) {
+      if (walker.reached(nl.outputs()[j])) {
+        h = std::max(h, info.output_horizon[j]);
+      }
+    }
+    EXPECT_EQ(plan.horizon[i], h)
+        << nl.name() << " " << fault_name(nl, c.faults()[i]);
+  }
+}
+
+TEST(SgraphLinearPasses, RosterMatchesWalks) {
+  for (const BenchmarkInfo& b : benchmark_roster()) {
+    const Netlist nl = make_benchmark(b);
+    // Every fault up to s9234.1; a sample above, where one walk per
+    // fault would dominate the suite.
+    expect_matches_walks(nl, nl.node_count() <= 6000 ? ~std::size_t{0} : 400);
+  }
+}
+
+TEST(SgraphLinearPasses, AcyclicCircuitsMatchWalks) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const SynthSpec spec{"apipe" + std::to_string(seed), 4, 3, 10, 90,
+                         CircuitStyle::AcyclicPipeline, seed};
+    const Netlist nl = generate_circuit(spec);
+    const SgraphPlan plan = build_sgraph_plan(nl, CollapsedFaultList(nl).faults());
+    EXPECT_GT(plan.finite_horizon_count(), 0u) << spec.name;
+    expect_matches_walks(nl, ~std::size_t{0});
+  }
 }
 
 // ---------------------------------------------------------------------------

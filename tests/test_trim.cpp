@@ -187,6 +187,46 @@ TEST(ConeClustering, ShardMatesShareConeSignatures) {
   }
 }
 
+/// The per-fault-walk form of cluster_live_order: one ConeAnalysis
+/// walk per live fault, grouped by signature in first-occurrence order.
+std::vector<std::size_t> walk_cluster_order(
+    const Netlist& nl, const std::vector<Fault>& faults,
+    const std::vector<std::size_t>& live) {
+  ConeAnalysis analysis(nl);
+  std::vector<std::uint64_t> first_seen;
+  std::vector<std::vector<std::size_t>> groups;
+  for (const std::size_t g : live) {
+    const std::uint64_t sig = analysis.fault_cone(faults[g]).signature;
+    const auto it = std::find(first_seen.begin(), first_seen.end(), sig);
+    if (it == first_seen.end()) {
+      first_seen.push_back(sig);
+      groups.push_back({g});
+    } else {
+      groups[static_cast<std::size_t>(it - first_seen.begin())].push_back(g);
+    }
+  }
+  std::vector<std::size_t> order;
+  for (const auto& group : groups) {
+    order.insert(order.end(), group.begin(), group.end());
+  }
+  return order;
+}
+
+TEST(ConeClustering, LiveOrderMatchesPerFaultWalks) {
+  for (const char* name :
+       {"s27", "s298", "s344", "s713", "s953", "s1423", "s1494", "s5378"}) {
+    const Netlist nl = make_benchmark(name);
+    const CollapsedFaultList c(nl);
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (i % 3 != 1) live.push_back(i);
+    }
+    EXPECT_EQ(cluster_live_order(nl, c.faults(), live),
+              walk_cluster_order(nl, c.faults(), live))
+        << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bit-identity: trimmed hybrid and parallel engines against the plain
 // reference and the untrimmed engines (ample space — fallback window
