@@ -5,10 +5,14 @@
 // Runs both FaultSimulator3 backends (and the bit-parallel engine at 1
 // and 4 worker threads) over random sequences on s27 / s344 / s5378
 // and compares, fault by fault, the detection verdict, the detection
-// frame and exact_from (the frame after which X01 was exact). Any
-// disagreement exits nonzero — this harness is the CI correctness gate
-// behind the backend contract of docs/SIM3.md, wired like
-// ablation_implications.
+// frame and exact_from (the frame after which X01 was exact). Each
+// circuit also runs a copy of its sequence with X inputs in two
+// vectors mid-run, so bit-parallel groups leave the two-valued path
+// (docs/SIM3.md) and re-enter it once the machines resettle; the
+// "2v" columns report the two-valued share of group-frames of both
+// sequences. Any disagreement exits nonzero — this harness is the CI
+// correctness gate behind the backend contract of docs/SIM3.md, wired
+// like ablation_implications.
 //
 // It is also a ratio gate: each backend is timed best-of-5 within this
 // one run (interleaved, so host drift hits both sides alike), and the
@@ -27,6 +31,7 @@
 #include "bench_common.h"
 #include "faults/collapse.h"
 #include "faults/fault.h"
+#include "obs/telemetry.h"
 #include "sim3/bitpar_sim3.h"
 #include "sim3/fault_simulator.h"
 #include "tpg/sequences.h"
@@ -60,6 +65,22 @@ void run_backend(const Netlist& nl, const std::vector<Fault>& faults,
   const double seconds = timer.elapsed_seconds();
   if (r.result.status.empty()) r.result = std::move(result);
   if (r.seconds == 0 || seconds < r.seconds) r.seconds = seconds;
+}
+
+/// Untimed bit-parallel run; `binary`/`total` receive its
+/// sim3.binary_group_frames and sim3.batches.
+FaultSim3Result run_counted(const Netlist& nl, const std::vector<Fault>& faults,
+                            const TestSequence& seq, std::size_t threads,
+                            std::uint64_t& binary, std::uint64_t& total) {
+  obs::Telemetry tele;
+  Sim3EngineConfig config;
+  config.threads = threads;
+  config.telemetry = &tele;
+  FaultSim3Result result =
+      make_fault_simulator3(Sim3Backend::BitPar, nl, faults, config)->run(seq);
+  binary = tele.metrics.counter("sim3.binary_group_frames").value();
+  total = tele.metrics.counter("sim3.batches").value();
+  return result;
 }
 
 /// Fault-by-fault comparison of verdicts and frames; prints the first
@@ -105,9 +126,9 @@ int main() {
 
   bool all_identical = true;
   bool all_fast = true;
-  std::printf("%-10s %8s %9s %10s %12s %12s %8s\n", "circuit", "faults",
-              "detected", "event[ms]", "bitpar-1[ms]", "bitpar-4[ms]",
-              "speedup");
+  std::printf("%-10s %8s %9s %10s %12s %12s %8s %8s %8s\n", "circuit",
+              "faults", "detected", "event[ms]", "bitpar-1[ms]",
+              "bitpar-4[ms]", "speedup", "2v", "2v(X)");
   for (const std::string& name : workloads) {
     const Netlist nl = make_benchmark(name);
     const CollapsedFaultList faults(nl);
@@ -132,14 +153,42 @@ int main() {
       all_identical = false;
     }
 
+    // The X-injected copy: identity only, untimed.
+    TestSequence seqx = seq;
+    if (!seqx.empty()) {
+      seqx[vectors / 3][0] = Val3::X;
+      seqx[vectors / 2][nl.input_count() - 1] = Val3::X;
+    }
+    std::uint64_t binary = 0, total = 0, binary_x = 0, total_x = 0;
+    (void)run_counted(nl, faults.faults(), seq, 1, binary, total);
+    const std::unique_ptr<FaultSimulator3> event_x =
+        make_fault_simulator3(Sim3Backend::Event, nl, faults.faults());
+    const FaultSim3Result rx = event_x->run(seqx);
+    for (const std::size_t threads : {1u, 4u}) {
+      const FaultSim3Result bx =
+          run_counted(nl, faults.faults(), seqx, threads, binary_x, total_x);
+      const std::string what =
+          "X inputs, bitpar threads=" + std::to_string(threads);
+      if (!identical(nl, faults.faults(), rx, bx, what.c_str())) {
+        all_identical = false;
+      }
+    }
+    const auto share = [](std::uint64_t part, std::uint64_t whole) {
+      return whole > 0 ? 100.0 * static_cast<double>(part) /
+                             static_cast<double>(whole)
+                       : 0.0;
+    };
+
     const double speedup =
         bitpar1.seconds > 0 ? event.seconds / bitpar1.seconds : 0.0;
     const bool gated = name != "s27";
     const bool slow = gated && bitpar1.seconds > kMaxSlowdown * event.seconds;
-    std::printf("%-10s %8zu %9zu %10.3f %12.3f %12.3f %7.2fx%s\n",
+    std::printf("%-10s %8zu %9zu %10.3f %12.3f %12.3f %7.2fx %7.1f%% "
+                "%7.1f%%%s\n",
                 nl.name().c_str(), faults.size(),
                 event.result.detected_count, 1e3 * event.seconds,
                 1e3 * bitpar1.seconds, 1e3 * bitpar4.seconds, speedup,
+                share(binary, total), share(binary_x, total_x),
                 gated ? (slow ? "  SLOW" : "") : "  (not gated)");
     if (slow) all_fast = false;
   }
@@ -151,7 +200,7 @@ int main() {
     return 1;
   }
   std::printf("\nboth backends (and both thread counts) are bit-identical "
-              "on every circuit.\n");
+              "on every circuit, with and without X inputs.\n");
   if (!all_fast) {
     std::fprintf(stderr,
                  "FAILURE: bitpar-1 is more than %.0f %% slower than event "

@@ -49,12 +49,17 @@ void HybridFaultSim::set_sgraph_plan(SgraphPlan plan) {
   sgraph_plan_ = std::move(plan);
 }
 
-void HybridFaultSim::set_x01_exact_from(std::vector<std::uint32_t> exact_from) {
-  if (!exact_from.empty() && exact_from.size() != faults_.size()) {
-    throw std::invalid_argument("set_x01_exact_from: vector does not match "
-                                "the fault list");
+void HybridFaultSim::set_x01_exact_from(
+    std::vector<std::uint32_t> exact_from,
+    std::vector<std::uint32_t> xred_settled_from) {
+  for (const auto* v : {&exact_from, &xred_settled_from}) {
+    if (!v->empty() && v->size() != faults_.size()) {
+      throw std::invalid_argument("set_x01_exact_from: vector does not "
+                                  "match the fault list");
+    }
   }
   exact_from_ = std::move(exact_from);
+  xred_settled_from_ = std::move(xred_settled_from);
 }
 
 void HybridFaultSim::set_resume(ChunkCheckpoint checkpoint) {
@@ -297,27 +302,39 @@ HybridResult HybridFaultSim::run(
   // created and no space limit can trip; the handles are released
   // without a collection. Faults the three-valued stage already
   // simulated exactly past frame t cannot be detected in the rest of
-  // the sequence, so they stay out of the session.
-  const bool drop_exact =
-      !exact_from_.empty() &&
+  // the sequence, so they stay out of the session; so do X-redundant
+  // faults whose state matches the fault-free one after ID_X-red's
+  // own fault-free run has settled (set_x01_exact_from).
+  const bool drop_settled =
+      (!exact_from_.empty() || !xred_settled_from_.empty()) &&
       (checkpoint_ == nullptr || options_.checkpoint_interval == 0);
+  const auto proven_by = [&t](const std::vector<std::uint32_t>& from,
+                              std::size_t fi) {
+    return !from.empty() && from[fi] != 0 && from[fi] <= t;
+  };
   auto enter_binary = [&] {
-    if (drop_exact) {
+    const std::vector<Val3> state3 = sym.state_as_val3();
+    std::vector<StateDiff3> diffs3 = diffs_to_3v(state3);
+    if (drop_settled) {
       std::size_t keep = 0;
       for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::uint32_t k = exact_from_[live[i].index];
-        if (k != 0 && k <= t) {
-          ++result.x01_exact_drops;
+        const std::size_t fi = live[i].index;
+        const bool exact = proven_by(exact_from_, fi);
+        if (exact || (diffs3[i].empty() && proven_by(xred_settled_from_, fi))) {
+          ++(exact ? result.x01_exact_drops : result.xred_settled_drops);
           if (live[i].parked) ++result.faults_terminated_early;
           continue;
         }
-        if (keep != i) live[keep] = std::move(live[i]);
+        if (keep != i) {
+          live[keep] = std::move(live[i]);
+          diffs3[keep] = std::move(diffs3[i]);
+        }
         ++keep;
       }
       live.resize(keep);
+      diffs3.resize(keep);
     }
-    const std::vector<Val3> state3 = sym.state_as_val3();
-    begin_session(state3, diffs_to_3v(state3));
+    begin_session(state3, std::move(diffs3));
     sym.release();
     mode = Mode::Binary;
     obs::log_event(telemetry, obs::LogLevel::Debug, "hybrid.binary.enter",
@@ -677,6 +694,7 @@ HybridResult HybridFaultSim::run(
         .add(result.faults_terminated_early);
     m.counter("analysis.mot_downgrades").add(result.mot_downgrades);
     m.counter("hybrid.x01_exact_drops").add(result.x01_exact_drops);
+    m.counter("hybrid.xred_settled_drops").add(result.xred_settled_drops);
     m.counter("sym.faultfree_evals_shared")
         .add(result.faultfree_evals_shared);
     // The settled hand-off finishes symbolic-mode work, so its time

@@ -58,6 +58,11 @@ struct HybridResult {
   /// three-valued stage already simulated their remaining frames
   /// exactly (set_x01_exact_from).
   std::uint64_t x01_exact_drops = 0;
+  /// Live faults left out of the settled hand-off because ID_X-red
+  /// flagged them X-redundant over a fault-free run already settled
+  /// by then, and their state equals the fault-free one
+  /// (set_x01_exact_from's `xred_settled_from`).
+  std::uint64_t xred_settled_drops = 0;
 };
 
 /// Hybrid fault simulator (paper Sections I and IV.A, following [8]):
@@ -128,17 +133,26 @@ class HybridFaultSim {
   /// horizons. Ignored when options.sgraph is off.
   void set_sgraph_plan(SgraphPlan plan);
 
-  /// Supplies the three-valued stage's FaultSim3Result::exact_from for
-  /// this fault list, over the same sequence from the all-X state.
-  /// At the settled hand-off after frame t, a live fault with
-  /// 0 < exact_from <= t stays out of the three-valued session: that
-  /// stage saw its remaining frames exactly and found no output
-  /// difference, so no strategy can detect it there, and verdicts and
-  /// detection frames are unchanged. Symbolic and window modes never
-  /// consult it. Ignored while checkpoints are emitted, since a
-  /// binary-mode record must carry every live fault's divergence.
-  /// An empty vector (the default) disables the drop.
-  void set_x01_exact_from(std::vector<std::uint32_t> exact_from);
+  /// Supplies what the earlier stages proved about the rest of the
+  /// sequence, for this fault list, over the same sequence from the
+  /// all-X state. At the settled hand-off after frame t, a live fault
+  /// stays out of the three-valued session when either
+  ///  - `exact_from` (FaultSim3Result::exact_from) is in 1..t: that
+  ///    stage saw its remaining frames exactly and found no output
+  ///    difference, so no strategy can detect it there; or
+  ///  - `xred_settled_from` (XRedResult::settled_from for faults
+  ///    ID_X-red flagged X-redundant, 0 for the others) is in 1..t and
+  ///    its faulty state equals the fault-free one: from there on the
+  ///    flag's I_X/OB summaries are exact, so the fault is never
+  ///    activated, or stays blocked inside its fanout-free region, and
+  ///    the faulty machine never leaves the fault-free one.
+  /// Either way verdicts and detection frames are unchanged. Symbolic
+  /// and window modes never consult them. Ignored while checkpoints
+  /// are emitted, since a binary-mode record must carry every live
+  /// fault's divergence. An empty vector (the default) disables its
+  /// drop.
+  void set_x01_exact_from(std::vector<std::uint32_t> exact_from,
+                          std::vector<std::uint32_t> xred_settled_from = {});
 
   /// Supplies the compiled view of the netlist that the symbolic and
   /// three-valued engines of the run read (read-only, so one view may
@@ -171,6 +185,7 @@ class HybridFaultSim {
   std::optional<TrimPlan> trim_plan_;
   std::optional<SgraphPlan> sgraph_plan_;
   std::vector<std::uint32_t> exact_from_;
+  std::vector<std::uint32_t> xred_settled_from_;
   std::shared_ptr<const LevelizedCircuit> circuit_;
 };
 

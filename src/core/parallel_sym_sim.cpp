@@ -118,12 +118,17 @@ void ParallelSymSim::set_sgraph_plan(SgraphPlan plan) {
   sgraph_plan_ = std::move(plan);
 }
 
-void ParallelSymSim::set_x01_exact_from(std::vector<std::uint32_t> exact_from) {
-  if (!exact_from.empty() && exact_from.size() != faults_.size()) {
-    throw std::invalid_argument("set_x01_exact_from: vector does not match "
-                                "the fault list");
+void ParallelSymSim::set_x01_exact_from(
+    std::vector<std::uint32_t> exact_from,
+    std::vector<std::uint32_t> xred_settled_from) {
+  for (const auto* v : {&exact_from, &xred_settled_from}) {
+    if (!v->empty() && v->size() != faults_.size()) {
+      throw std::invalid_argument("set_x01_exact_from: vector does not "
+                                  "match the fault list");
+    }
   }
   exact_from_ = std::move(exact_from);
+  xred_settled_from_ = std::move(xred_settled_from);
 }
 
 std::size_t ParallelSymSim::resolved_threads() const noexcept {
@@ -297,14 +302,16 @@ HybridResult ParallelSymSim::run(
           }
           sim.set_sgraph_plan(std::move(chunk_splan));
         }
-        if (!exact_from_.empty()) {
-          std::vector<std::uint32_t> chunk_exact;
-          chunk_exact.reserve(end - begin);
+        const auto slice = [&](const std::vector<std::uint32_t>& from) {
+          std::vector<std::uint32_t> chunk;
+          if (from.empty()) return chunk;
+          chunk.reserve(end - begin);
           for (std::size_t k = begin; k < end; ++k) {
-            chunk_exact.push_back(exact_from_[live[k]]);
+            chunk.push_back(from[live[k]]);
           }
-          sim.set_x01_exact_from(std::move(chunk_exact));
-        }
+          return chunk;
+        };
+        sim.set_x01_exact_from(slice(exact_from_), slice(xred_settled_from_));
         const obs::SpanTracer::Span shard_span =
             obs::open_span(telemetry, "shard");
         const Stopwatch shard_timer;
@@ -368,6 +375,7 @@ HybridResult ParallelSymSim::run(
     merged.faultfree_evals_shared += r.faultfree_evals_shared;
     merged.mot_downgrades += r.mot_downgrades;
     merged.x01_exact_drops += r.x01_exact_drops;
+    merged.xred_settled_drops += r.xred_settled_drops;
     merged.peak_live_nodes =
         std::max(merged.peak_live_nodes, r.peak_live_nodes);
   }

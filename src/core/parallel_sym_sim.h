@@ -69,7 +69,8 @@ inline constexpr std::size_t kDefaultChunkSize = 64;
 /// The merged HybridResult: per-fault status/detect_frame are written
 /// into the global fault order; detected_count, fallback_windows,
 /// symbolic_frames, three_valued_frames, binary_frames and the other
-/// event counters (x01_exact_drops among them) are summed
+/// event counters (x01_exact_drops and xred_settled_drops among them)
+/// are summed
 /// over shards (each shard walks the whole sequence, so frame counters
 /// scale with the shard count); peak_live_nodes is the max over
 /// shards; used_fallback is the OR.
@@ -131,11 +132,12 @@ class ParallelSymSim {
   /// Ignored when the pass is off.
   void set_sgraph_plan(SgraphPlan plan);
 
-  /// Supplies the three-valued stage's exact_from in this fault list's
-  /// global indexing (see HybridFaultSim::set_x01_exact_from); the
-  /// driver slices it per chunk. Empty (the default) disables the
-  /// hand-off drop.
-  void set_x01_exact_from(std::vector<std::uint32_t> exact_from);
+  /// Supplies the three-valued stage's exact_from and ID_X-red's
+  /// per-fault settled_from in this fault list's global indexing (see
+  /// HybridFaultSim::set_x01_exact_from); the driver slices both per
+  /// chunk. An empty vector (the default) disables its hand-off drop.
+  void set_x01_exact_from(std::vector<std::uint32_t> exact_from,
+                          std::vector<std::uint32_t> xred_settled_from = {});
 
   /// Thread count after resolving 0 to the hardware default.
   [[nodiscard]] std::size_t resolved_threads() const noexcept;
@@ -157,6 +159,7 @@ class ParallelSymSim {
   std::optional<TrimPlan> trim_plan_;
   std::optional<SgraphPlan> sgraph_plan_;
   std::vector<std::uint32_t> exact_from_;
+  std::vector<std::uint32_t> xred_settled_from_;
 };
 
 }  // namespace motsim

@@ -97,6 +97,12 @@ PipelineResult run_pipeline(const Netlist& netlist,
                  result.seconds_analysis);
   }
 
+  // Per fault ID_X-red flagged X-redundant, the frame after which its
+  // fault-free run was settled (XRedResult::settled_from); the
+  // symbolic stage's settled hand-off skips such faults when their
+  // state matches the fault-free one. Empty when it never settled.
+  std::vector<std::uint32_t> xred_settled_from;
+
   // ---- Stage 1: ID_X-red ------------------------------------------------
   if (options.run_xred) {
     std::optional<obs::SpanTracer::Span> span;
@@ -112,6 +118,10 @@ PipelineResult run_pipeline(const Netlist& netlist,
           xs[i] == FaultStatus::XRedundant) {
         status[i] = FaultStatus::XRedundant;
         ++result.x_redundant;
+        if (xr.settled_from() != 0) {
+          xred_settled_from.resize(faults.size(), 0);
+          xred_settled_from[i] = xr.settled_from();
+        }
       }
     }
     result.seconds_xred = timer.elapsed_seconds();
@@ -190,7 +200,10 @@ PipelineResult run_pipeline(const Netlist& netlist,
     }
     // A checkpointed run must keep every fault's binary-mode divergence
     // in its records, so it keeps the whole hand-off.
-    if (checkpoint != nullptr) exact_from.clear();
+    if (checkpoint != nullptr) {
+      exact_from.clear();
+      xred_settled_from.clear();
+    }
     HybridResult rs;
     if (options.threads == 1) {
       HybridFaultSim sym(netlist, faults, options);
@@ -201,7 +214,8 @@ PipelineResult run_pipeline(const Netlist& netlist,
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
-      sym.set_x01_exact_from(std::move(exact_from));
+      sym.set_x01_exact_from(std::move(exact_from),
+                             std::move(xred_settled_from));
       rs = sym.run(sequence);
     } else {
       ParallelSymSim sym(netlist, faults, options);
@@ -211,7 +225,8 @@ PipelineResult run_pipeline(const Netlist& netlist,
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
-      sym.set_x01_exact_from(std::move(exact_from));
+      sym.set_x01_exact_from(std::move(exact_from),
+                             std::move(xred_settled_from));
       rs = sym.run(sequence);
     }
     result.seconds_symbolic = timer.elapsed_seconds();

@@ -1,5 +1,6 @@
 #include "core/xred.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "circuit/ffr.h"
@@ -8,8 +9,12 @@
 namespace motsim {
 
 XRedResult::XRedResult(SiteTable sites, std::vector<Val4> ix,
-                       std::vector<std::uint8_t> ob)
-    : sites_(std::move(sites)), ix_(std::move(ix)), ob_(std::move(ob)) {}
+                       std::vector<std::uint8_t> ob,
+                       std::uint32_t settled_from)
+    : sites_(std::move(sites)),
+      ix_(std::move(ix)),
+      ob_(std::move(ob)),
+      settled_from_(settled_from) {}
 
 bool XRedResult::is_x_redundant(const Fault& f) const {
   const std::size_t site = sites_.site_of(f.site);
@@ -51,12 +56,29 @@ XRedResult run_id_x_red(const Netlist& nl,
   std::vector<Val4> ix(sites.site_count(), Val4::X);
 
   // ---- Step 1: true-value simulation folded into I_X ------------------
+  // settled_from: an X input (or a malformed vector) voids every
+  // earlier candidate; an X-free state after a frame makes that frame
+  // one, and binary inputs keep the state X-free from there on.
   GoodSim3 good(nl);
-  for (const auto& vec : sequence) {
+  std::uint32_t settled_from = 0;
+  const auto binary_state = [&good] {
+    return std::all_of(good.state().begin(), good.state().end(), is_binary);
+  };
+  for (std::size_t k = 0; k < sequence.size(); ++k) {
+    const std::vector<Val3>& vec = sequence[k];
+    if (vec.size() != nl.input_count() ||
+        !std::all_of(vec.begin(), vec.end(), is_binary)) {
+      settled_from = 0;
+    }
     good.step(vec);
     const std::vector<Val3>& values = good.values();
     for (NodeIndex n = 0; n < nl.node_count(); ++n) {
       ix[sites.stem_site(n)] = accumulate(ix[sites.stem_site(n)], values[n]);
+    }
+    if (!binary_state()) {
+      settled_from = 0;
+    } else if (settled_from == 0) {
+      settled_from = static_cast<std::uint32_t>(k + 1);
     }
   }
   // Branches start with their source stem's summary.
@@ -114,7 +136,7 @@ XRedResult run_id_x_red(const Netlist& nl,
   // ---- Step 3: observability inside fanout-free regions ---------------
   std::vector<std::uint8_t> ob(sites.site_count(), 1);
   if (!options.observability) {
-    return XRedResult(sites, std::move(ix), std::move(ob));
+    return XRedResult(sites, std::move(ix), std::move(ob), settled_from);
   }
   const FanoutFreeRegions regions(nl);
 
@@ -174,7 +196,7 @@ XRedResult run_id_x_red(const Netlist& nl,
     }
   }
 
-  return XRedResult(sites, std::move(ix), std::move(ob));
+  return XRedResult(sites, std::move(ix), std::move(ob), settled_from);
 }
 
 }  // namespace motsim

@@ -23,7 +23,7 @@ namespace motsim {
 class XRedResult {
  public:
   XRedResult(SiteTable sites, std::vector<Val4> ix,
-             std::vector<std::uint8_t> ob);
+             std::vector<std::uint8_t> ob, std::uint32_t settled_from);
 
   /// I_X value of a lead.
   [[nodiscard]] Val4 ix(const FaultSite& s) const {
@@ -50,10 +50,21 @@ class XRedResult {
 
   [[nodiscard]] const SiteTable& sites() const noexcept { return sites_; }
 
+  /// The first frame k (1-based) after which step 1's fault-free
+  /// machine has an X-free state and every later input vector is
+  /// binary; 0 = never. From frame k on the three-valued values the
+  /// summaries fold are the exact ones, so a flagged fault whose
+  /// faulty state equals the fault-free one after some frame t >= k
+  /// stays equal for the rest of the sequence (docs/ALGORITHMS.md).
+  [[nodiscard]] std::uint32_t settled_from() const noexcept {
+    return settled_from_;
+  }
+
  private:
   SiteTable sites_;
   std::vector<Val4> ix_;
   std::vector<std::uint8_t> ob_;
+  std::uint32_t settled_from_ = 0;
 };
 
 /// Ablation switches for run_id_x_red (the full procedure enables

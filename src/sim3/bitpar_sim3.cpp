@@ -11,9 +11,6 @@ namespace motsim {
 
 namespace {
 
-inline constexpr std::uint8_t kStemFlag = 1;
-inline constexpr std::uint8_t kBranchFlag = 2;
-
 /// Frames of fault-free trajectory snapshotted per campaign chunk:
 /// bounds the fault-free value storage (one byte per node per frame)
 /// while amortizing per-group scratch setup over many frames.
@@ -27,6 +24,74 @@ inline constexpr std::size_t kChunkFrames = 32;
 [[nodiscard]] inline PackedVal3 bcast(Val3 v) {
   return {~std::uint64_t{0} + (v != Val3::One),
           ~std::uint64_t{0} + (v != Val3::Zero)};
+}
+
+/// All-ones when `bit` is nonzero, else zero.
+[[nodiscard]] inline std::uint64_t ones_if(unsigned bit) {
+  return -static_cast<std::uint64_t>(bit != 0);
+}
+
+// Plane policies of the sparse kernel: the plane type, the gate
+// algebra eval_lev_gate dispatches to, and the primitives the sweep is
+// written in — broadcast of a fault-free scalar, masked select, the
+// AND-form gate, fault forcing, and conversion to and from the
+// two-rail PackedVal3 the scratch and the latch store.
+
+/// Exact Kleene logic on two-rail planes (any slot may be X).
+struct ThreeRail : PackedOps {
+  using Plane = PackedVal3;
+  static Plane bcast(Val3 v) { return motsim::bcast(v); }
+  static Plane select(Plane a, Plane b, std::uint64_t m) {
+    return {(a.ones & m) | (b.ones & ~m), (a.zeros & m) | (b.zeros & ~m)};
+  }
+  /// Two-input Kleene AND under polarity masks. A Kleene complement of
+  /// a packed plane is a rail swap, done branchlessly as a masked
+  /// xor-swap.
+  static Plane and_form(Plane a, Plane b, std::uint8_t af) {
+    const auto cnot = [](Plane x, std::uint64_t m) {
+      const std::uint64_t t = (x.ones ^ x.zeros) & m;
+      return Plane{x.ones ^ t, x.zeros ^ t};
+    };
+    a = cnot(a, ones_if(af & kAndFormInvIn0));
+    b = cnot(b, ones_if(af & kAndFormInvIn1));
+    return cnot(Plane{a.ones & b.ones, a.zeros | b.zeros},
+                ones_if(af & kAndFormInvOut));
+  }
+  static Plane force(Plane v, PackedVal3 f) { return apply_force(v, f); }
+  static Plane from_packed(PackedVal3 p) { return p; }
+  static PackedVal3 to_packed(Plane v) { return v; }
+};
+
+/// Boolean logic on one word per node: bit i is slot i's value. Exact
+/// only while no slot can hold an X (the two-valued path's entry
+/// rule); a binary PackedVal3 converts losslessly as its `ones` rail.
+struct OneRail {
+  using Plane = std::uint64_t;
+  static Plane and_(Plane a, Plane b) { return a & b; }
+  static Plane or_(Plane a, Plane b) { return a | b; }
+  static Plane xor_(Plane a, Plane b) { return a ^ b; }
+  static Plane not_(Plane a) { return ~a; }
+  static Plane zero() { return 0; }
+  static Plane one() { return ~Plane{0}; }
+  static Plane x() { return 0; }  // unreachable: frame inputs
+  static Plane bcast(Val3 v) { return ones_if(v == Val3::One); }
+  static Plane select(Plane a, Plane b, std::uint64_t m) {
+    return (a & m) | (b & ~m);
+  }
+  static Plane and_form(Plane a, Plane b, std::uint8_t af) {
+    return ((a ^ ones_if(af & kAndFormInvIn0)) &
+            (b ^ ones_if(af & kAndFormInvIn1))) ^
+           ones_if(af & kAndFormInvOut);
+  }
+  static Plane force(Plane v, PackedVal3 f) {
+    return (v & ~(f.ones | f.zeros)) | f.ones;
+  }
+  static Plane from_packed(PackedVal3 p) { return p.ones; }
+  static PackedVal3 to_packed(Plane v) { return {v, ~v}; }
+};
+
+[[nodiscard]] bool all_binary(const std::vector<Val3>& values) {
+  return std::all_of(values.begin(), values.end(), is_binary);
 }
 
 }  // namespace
@@ -52,53 +117,58 @@ BitParFaultSim3::BitParFaultSim3(
 BitParFaultSim3::Group BitParFaultSim3::build_group(
     const std::size_t* fault_indices, std::size_t count) const {
   const Netlist& nl = lc_->netlist();
+  const std::vector<std::uint32_t>& gate_of = lc_->gate_of();
   Group grp;
   grp.members.assign(fault_indices, fault_indices + count);
   grp.full_mask = count == kPackedSlots
                       ? ~std::uint64_t{0}
                       : ((std::uint64_t{1} << count) - 1);
   grp.alive = grp.full_mask;
-  grp.flags.assign(nl.node_count(), 0);
+  grp.stem_at.assign(nl.node_count(), 0);
+  grp.branch_at.assign(nl.node_count(), 0);
+  std::vector<NodeIndex> branch_nodes;
 
   for (unsigned slot = 0; slot < count; ++slot) {
     const Fault& f = faults_[fault_indices[slot]];
+    const NodeIndex node = f.site.node;
     const std::uint64_t bit = std::uint64_t{1} << slot;
     const PackedVal3 force =
         f.stuck_value ? PackedVal3{bit, 0} : PackedVal3{0, bit};
+    // Faults of one lead sit in distinct slots, so their masks are
+    // disjoint and merge by OR.
+    const auto merge = [&force](PackedVal3& into) {
+      into.ones |= force.ones;
+      into.zeros |= force.zeros;
+    };
     if (f.site.is_stem()) {
-      // Both polarities of one stem can sit in the same group
-      // (distinct slots); merge their disjoint masks.
-      bool merged = false;
-      for (auto& [node, existing] : grp.stem_forces) {
-        if (node == f.site.node) {
-          existing.ones |= force.ones;
-          existing.zeros |= force.zeros;
-          merged = true;
-          break;
-        }
+      std::uint8_t& at = grp.stem_at[node];
+      if (at == 0) {
+        grp.stem_forces.emplace_back(node, PackedVal3{});
+        at = static_cast<std::uint8_t>(grp.stem_forces.size());
       }
-      if (!merged) grp.stem_forces.emplace_back(f.site.node, force);
-      grp.flags[f.site.node] |= kStemFlag;
-    } else if (nl.type(f.site.node) == GateType::Dff) {
-      grp.latch_forces.emplace_back(nl.dff_position(f.site.node), force);
+      merge(grp.stem_forces[at - 1].second);
+    } else if (nl.type(node) == GateType::Dff) {
+      grp.latch_forces.emplace_back(nl.dff_position(node), force);
     } else {
-      grp.branch_forces.emplace_back(f.site.node,
-                                     BranchForce{f.site.pin, force});
-      grp.flags[f.site.node] |= kBranchFlag;
+      const LevGate& g = lc_->gates()[gate_of[node]];
+      std::uint8_t& at = grp.branch_at[node];
+      if (at == 0) {
+        grp.branch_pins.push_back(
+            static_cast<std::uint32_t>(grp.pin_forces.size()));
+        grp.pin_forces.resize(grp.pin_forces.size() +
+                              std::max<std::size_t>(g.arity, 2));
+        branch_nodes.push_back(node);
+        at = static_cast<std::uint8_t>(grp.branch_pins.size());
+      }
+      PackedVal3* pins = grp.pin_forces.data() + grp.branch_pins[at - 1];
+      merge(pins[f.site.pin]);
+      if (g.arity == 1) merge(pins[1]);
     }
   }
-  std::sort(grp.stem_forces.begin(), grp.stem_forces.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::sort(grp.branch_forces.begin(), grp.branch_forces.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second.pin < b.second.pin;
-            });
 
   // Compile the per-frame seed sets for the sparse kernel: stem forces
   // on frame inputs apply at load time; every injected compiled gate
   // is scheduled unconditionally each frame.
-  const std::vector<std::uint32_t>& gate_of = lc_->gate_of();
   const std::size_t words = (lc_->gates().size() + 63) / 64;
   grp.stem_gate_bits.assign(words, 0);
   grp.branch_gate_bits.assign(words, 0);
@@ -106,7 +176,7 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
     if (gate_of[node] != LevelizedCircuit::kNoGate) {
       const std::uint32_t gi = gate_of[node];
       grp.stem_gate_bits[gi >> 6] |= std::uint64_t{1} << (gi & 63);
-      if (grp.flags[node] & kBranchFlag) {
+      if (grp.branch_at[node] != 0) {
         grp.seed_gates.push_back(gi);
       } else {
         grp.stem_gate_seeds.emplace_back(node, force);
@@ -117,7 +187,7 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
       grp.input_stem_forces.emplace_back(node, force);
     }
   }
-  for (const auto& [node, bf] : grp.branch_forces) {
+  for (const NodeIndex node : branch_nodes) {
     const std::uint32_t gi = gate_of[node];
     grp.branch_gate_bits[gi >> 6] |= std::uint64_t{1} << (gi & 63);
     grp.seed_gates.push_back(gi);
@@ -129,10 +199,12 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
   return grp;
 }
 
+template <typename P>
 std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
                                                  const Val3* good,
                                                  std::uint64_t mask,
                                                  Scratch& s) const {
+  using Plane = typename P::Plane;
   const LevelizedCircuit& lc = *lc_;
   if (++s.epoch == 0) {  // stamp wrap-around: invalidate everything
     for (NodeSlot& sl : s.nodes) sl.stamp = 0;
@@ -147,35 +219,31 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
   // the two planes is cheaper than the stalls.
   const auto load = [&](NodeIndex n) {
     const NodeSlot& sl = nodes[n];
-    const std::uint64_t m = -static_cast<std::uint64_t>(sl.stamp == epoch);
-    const PackedVal3 gv = bcast(good[n]);
-    return PackedVal3{(sl.val.ones & m) | (gv.ones & ~m),
-                      (sl.val.zeros & m) | (gv.zeros & ~m)};
+    return P::select(P::from_packed(sl.val), P::bcast(good[n]),
+                     ones_if(sl.stamp == epoch));
   };
   // Pins the slots outside `mask` to the fault-free plane, then stores
   // the result only when it still diverges — equal planes stay
   // implicit, so nothing downstream wakes up. Scheduling a consumer is
   // one idempotent bit-set; the sweep below consumes the bits in level
   // order.
-  const auto publish = [&](NodeIndex n, PackedVal3 v) {
-    const PackedVal3 pg = bcast(good[n]);
-    v.ones = (v.ones & mask) | (pg.ones & ~mask);
-    v.zeros = (v.zeros & mask) | (pg.zeros & ~mask);
+  const auto publish = [&](NodeIndex n, Plane v) {
+    const Plane pg = P::bcast(good[n]);
+    v = P::select(v, pg, mask);
     if (v == pg) return;
     NodeSlot& sl = nodes[n];
-    sl.val = v;
+    sl.val = P::to_packed(v);
     sl.stamp = epoch;
     const auto [fo, fe] = lc.fanout_gates(n);
     for (const std::uint32_t* it = fo; it != fe; ++it) {
       sched[*it >> 6] |= std::uint64_t{1} << (*it & 63);
     }
   };
-  const auto stem_of = [&](NodeIndex n) {
-    const auto it = std::lower_bound(
-        grp.stem_forces.begin(), grp.stem_forces.end(), n,
-        [](const auto& a, NodeIndex key) { return a.first < key; });
-    return it != grp.stem_forces.end() && it->first == n ? it->second
-                                                         : PackedVal3{};
+  const auto stem_force = [&](NodeIndex n) {
+    return grp.stem_forces[grp.stem_at[n] - 1].second;
+  };
+  const auto forced_seed = [&](NodeIndex n, PackedVal3 force) {
+    publish(n, P::force(P::bcast(good[n]), force));
   };
 
   // Seed: dirty flip-flop planes (clean ones equal the fault-free
@@ -185,24 +253,39 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
   for (std::size_t i = 0; i < lc.dffs().size(); ++i) {
     if (!grp.state_dirty[i]) continue;
     const NodeIndex n = lc.dffs()[i];
-    PackedVal3 v = grp.state[i];
-    if (grp.flags[n] & kStemFlag) v = apply_force(v, stem_of(n));
+    Plane v = P::from_packed(grp.state[i]);
+    if (grp.stem_at[n] != 0) v = P::force(v, stem_force(n));
     publish(n, v);
   }
   for (const auto& [pos, force] : grp.stem_dff_forces) {
     if (grp.state_dirty[pos]) continue;  // force folded in above
-    const NodeIndex n = lc.dffs()[pos];
-    publish(n, apply_force(bcast(good[n]), force));
+    forced_seed(lc.dffs()[pos], force);
   }
-  for (const auto& [n, force] : grp.input_stem_forces) {
-    publish(n, apply_force(bcast(good[n]), force));
-  }
-  for (const auto& [n, force] : grp.stem_gate_seeds) {
-    publish(n, apply_force(bcast(good[n]), force));
-  }
+  for (const auto& [n, force] : grp.input_stem_forces) forced_seed(n, force);
+  for (const auto& [n, force] : grp.stem_gate_seeds) forced_seed(n, force);
   for (const std::uint32_t gi : grp.seed_gates) {
     sched[gi >> 6] |= std::uint64_t{1} << (gi & 63);
   }
+
+  // One gate over its (possibly forced) operands; `pin(i, x)` applies
+  // input pin i's branch force to operand x. Every arity <= 2 gate but
+  // XOR/XNOR takes the straight-line AND form, with no opcode dispatch.
+  const NodeIndex* fanins = lc.fanins().data();
+  const auto eval = [&](const LevGate& g, auto pin) -> Plane {
+    if (g.and_form & kAndFormValid) {
+      return P::and_form(pin(0, load(g.in0)), pin(1, load(g.in1)),
+                         g.and_form);
+    }
+    if (g.arity <= 2) {
+      return eval_lev_gate<P>(g.op, g.arity, [&](std::size_t i) {
+        return pin(i, load(i == 0 ? g.in0 : g.in1));
+      });
+    }
+    const NodeIndex* in = fanins + g.in0;
+    return eval_lev_gate<P>(g.op, g.arity, [&](std::size_t i) {
+      return pin(i, load(in[i]));
+    });
+  };
 
   // Union-cone sweep over the pending bitset. The compiled order is
   // level-sorted and a gate only schedules gates of a strictly higher
@@ -212,7 +295,6 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
   // all-zero between frames.
   std::uint64_t words = 0;
   const LevGate* gates = lc.gates().data();
-  const NodeIndex* fanins = lc.fanins().data();
   const std::size_t wcount = s.sched.size();
   for (std::size_t wi = 0; wi < wcount; ++wi) {
     std::uint64_t bits = sched[wi];
@@ -226,56 +308,19 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
         const std::uint32_t gi = static_cast<std::uint32_t>((wi << 6) + k);
         bits &= bits - 1;
         const LevGate& g = gates[gi];
-        PackedVal3 v;
+        Plane v;
         if ((brw >> k) & 1) [[unlikely]] {
-          // Range of this gate's pin forces in the node-sorted list.
-          const auto lo = std::lower_bound(
-              grp.branch_forces.begin(), grp.branch_forces.end(), g.node,
-              [](const auto& a, NodeIndex key) { return a.first < key; });
-          const auto forced = [&](std::size_t i, PackedVal3 x) {
-            for (auto it = lo;
-                 it != grp.branch_forces.end() && it->first == g.node; ++it) {
-              if (it->second.pin == i) x = apply_force(x, it->second.force);
-            }
-            return x;
-          };
-          if (g.arity <= 2) {
-            v = eval_lev_gate<PackedOps>(g.op, g.arity, [&](std::size_t i) {
-              return forced(i, load(i == 0 ? g.in0 : g.in1));
-            });
-          } else {
-            const NodeIndex* in = fanins + g.in0;
-            v = eval_lev_gate<PackedOps>(g.op, g.arity, [&](std::size_t i) {
-              return forced(i, load(in[i]));
-            });
-          }
-        } else if (g.and_form & kAndFormValid) {
-          // Straight-line two-input Kleene AND under polarity masks —
-          // no opcode dispatch. A Kleene complement of a packed plane
-          // is a rail swap, done branchlessly as a masked xor-swap.
-          const auto cnot = [](PackedVal3 x, std::uint64_t m) {
-            const std::uint64_t t = (x.ones ^ x.zeros) & m;
-            return PackedVal3{x.ones ^ t, x.zeros ^ t};
-          };
-          const std::uint8_t af = g.and_form;
-          const PackedVal3 a = cnot(
-              load(g.in0), -static_cast<std::uint64_t>(af & kAndFormInvIn0));
-          const PackedVal3 b =
-              cnot(load(g.in1),
-                   -static_cast<std::uint64_t>((af & kAndFormInvIn1) != 0));
-          v = cnot(PackedVal3{a.ones & b.ones, a.zeros | b.zeros},
-                   -static_cast<std::uint64_t>((af & kAndFormInvOut) != 0));
-        } else if (g.arity <= 2) {
-          v = eval_lev_gate<PackedOps>(
-              g.op, g.arity,
-              [&](std::size_t i) { return load(i == 0 ? g.in0 : g.in1); });
+          const PackedVal3* pins =
+              grp.pin_forces.data() +
+              grp.branch_pins[grp.branch_at[g.node] - 1];
+          v = eval(g, [pins](std::size_t i, Plane x) {
+            return P::force(x, pins[i]);
+          });
         } else {
-          const NodeIndex* in = fanins + g.in0;
-          v = eval_lev_gate<PackedOps>(
-              g.op, g.arity, [&](std::size_t i) { return load(in[i]); });
+          v = eval(g, [](std::size_t, Plane x) { return x; });
         }
         if ((stemw >> k) & 1) [[unlikely]] {
-          v = apply_force(v, stem_of(g.node));
+          v = P::force(v, stem_force(g.node));
         }
         {
           // Branchless publish: the diverge-or-not pattern at the cone
@@ -285,13 +330,12 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
           // val under an old stamp is invisible, and OR-ing zero into
           // the schedule is a no-op.
           const NodeIndex n = g.node;
-          const PackedVal3 pg = bcast(good[n]);
-          v.ones = (v.ones & mask) | (pg.ones & ~mask);
-          v.zeros = (v.zeros & mask) | (pg.zeros & ~mask);
+          const Plane pg = P::bcast(good[n]);
+          v = P::select(v, pg, mask);
           const bool diverges = !(v == pg);
-          const std::uint64_t dm = -static_cast<std::uint64_t>(diverges);
+          const std::uint64_t dm = ones_if(diverges);
           NodeSlot& sl = nodes[n];
-          sl.val = v;
+          sl.val = P::to_packed(v);
           sl.stamp = diverges ? epoch : sl.stamp;
           // Same-word consumers go to the `pending` register, not to
           // memory: re-reading sched[wi] here would chain every
@@ -301,8 +345,7 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
           for (const std::uint32_t* it = fo; it != fe; ++it) {
             const std::uint32_t c = *it;
             const std::uint64_t b = (std::uint64_t{1} << (c & 63)) & dm;
-            const std::uint64_t same =
-                -static_cast<std::uint64_t>((c >> 6) == wi);
+            const std::uint64_t same = ones_if((c >> 6) == wi);
             sched[c >> 6] |= b & ~same;
             pending |= b & same;
           }
@@ -318,6 +361,22 @@ std::uint64_t BitParFaultSim3::eval_frame_sparse(const Group& grp,
     }
   }
   return words;
+}
+
+void BitParFaultSim3::eval_frame(const Group& grp, const Val3* good,
+                                 bool frame_binary, std::uint64_t mask,
+                                 Scratch& s, ChunkStats& stats) const {
+  // No X source remains when the fault-free values are binary and so
+  // is every simulated slot's state: forces are binary and binary
+  // operands give binary results, so Kleene logic reduces to Boolean
+  // logic slot by slot.
+  if (frame_binary && (mask & ~grp.binary) == 0) {
+    stats.words += eval_frame_sparse<OneRail>(grp, good, mask, s);
+    ++stats.binary_frames;
+  } else {
+    stats.words += eval_frame_sparse<ThreeRail>(grp, good, mask, s);
+  }
+  ++stats.frames;
 }
 
 std::uint64_t BitParFaultSim3::latch_group(Group& grp, const Val3* good,
@@ -363,13 +422,13 @@ std::uint64_t BitParFaultSim3::latch_group(Group& grp, const Val3* good,
   return xbits;
 }
 
-std::uint64_t BitParFaultSim3::simulate_frame(Group& grp, std::size_t t,
-                                              const Val3* good,
-                                              bool good_state_binary,
-                                              Scratch& scratch,
-                                              FaultSim3Result& result) const {
+void BitParFaultSim3::simulate_frame(Group& grp, std::size_t t,
+                                     const Val3* good, bool frame_binary,
+                                     bool good_state_binary, Scratch& scratch,
+                                     FaultSim3Result& result,
+                                     ChunkStats& stats) const {
   const LevelizedCircuit& lc = *lc_;
-  const std::uint64_t words = eval_frame_sparse(grp, good, grp.alive, scratch);
+  eval_frame(grp, good, frame_binary, grp.alive, scratch, stats);
 
   // Detection: a slot is caught when some primary output has a binary
   // fault-free value and the opposite binary slot value. An untouched
@@ -393,7 +452,7 @@ std::uint64_t BitParFaultSim3::simulate_frame(Group& grp, std::size_t t,
       result.status[fi] = FaultStatus::DetectedSim3;
       result.detect_frame[fi] = static_cast<std::uint32_t>(t + 1);
     }
-    if (grp.alive == 0) return words;
+    if (grp.alive == 0) return;
   }
 
   const std::uint64_t xbits = latch_group(grp, good, scratch);
@@ -404,21 +463,29 @@ std::uint64_t BitParFaultSim3::simulate_frame(Group& grp, std::size_t t,
         static_cast<std::uint32_t>(t + 1);
   }
   grp.binary = binary;
-  return words;
 }
 
 BitParFaultSim3::ChunkStats BitParFaultSim3::simulate_chunk(
     Group& grp, std::size_t base,
     const std::vector<std::vector<Val3>>& good_frames,
+    const std::vector<std::uint8_t>& frame_binary,
     const std::vector<std::uint8_t>& good_binary, Scratch& scratch,
     FaultSim3Result& result) const {
   ChunkStats stats;
   for (std::size_t f = 0; f < good_frames.size() && grp.alive != 0; ++f) {
-    stats.words += simulate_frame(grp, base + f, good_frames[f].data(),
-                                  good_binary[f] != 0, scratch, result);
-    ++stats.frames;
+    simulate_frame(grp, base + f, good_frames[f].data(), frame_binary[f] != 0,
+                   good_binary[f] != 0, scratch, result, stats);
   }
   return stats;
+}
+
+void BitParFaultSim3::record(const ChunkStats& stats) const {
+  if (telemetry_ == nullptr) return;
+  obs::MetricsRegistry& m = telemetry_->metrics;
+  m.counter("sim3.words_evaluated").add(stats.words);
+  m.counter("sim3.batches").add(stats.frames);
+  m.counter("sim3.binary_group_frames").add(stats.binary_frames);
+  m.counter("sim3.levels").add(lc_->level_count() * stats.frames);
 }
 
 FaultSim3Result BitParFaultSim3::run(
@@ -479,20 +546,9 @@ FaultSim3Result BitParFaultSim3::run(
   // fly, which keeps the per-frame good row at one byte per node.
   GoodSim3 good(lc_);
   std::vector<std::vector<Val3>> good_frames;
-  std::vector<std::uint8_t> good_binary;  ///< next state X-free, per frame
-
-  auto run_chunk = [&](Group& grp, std::size_t base, Scratch& scratch) {
-    std::optional<obs::SpanTracer::Span> span;
-    if (telemetry_ != nullptr) span = telemetry_->tracer.span("sim3.batch");
-    const ChunkStats stats =
-        simulate_chunk(grp, base, good_frames, good_binary, scratch, result);
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics.counter("sim3.words_evaluated").add(stats.words);
-      telemetry_->metrics.counter("sim3.batches").add(1);
-      telemetry_->metrics.counter("sim3.levels")
-          .add(lc.level_count() * stats.frames);
-    }
-  };
+  std::vector<std::uint8_t> frame_binary;  ///< fault-free values X-free
+  std::vector<std::uint8_t> good_binary;   ///< next state X-free, per frame
+  bool state_binary = all_binary(good.state());
 
   std::optional<Scratch> serial_scratch;
   const std::size_t dff_count = lc.dffs().size();
@@ -561,12 +617,17 @@ FaultSim3Result BitParFaultSim3::run(
       }
     }
     good_frames.resize(len);
+    frame_binary.resize(len);
     good_binary.resize(len);
+    const std::size_t input_count = lc.netlist().input_count();
     for (std::size_t f = 0; f < len; ++f) {
-      good.step(sequence[base + f]);
+      const std::vector<Val3>& vec = sequence[base + f];
+      frame_binary[f] =
+          state_binary && vec.size() == input_count && all_binary(vec);
+      good.step(vec);
       good_frames[f] = good.values();
-      good_binary[f] = std::all_of(good.state().begin(), good.state().end(),
-                                   is_binary);
+      state_binary = all_binary(good.state());
+      good_binary[f] = state_binary;
     }
 
     bool any_alive = false;
@@ -577,9 +638,12 @@ FaultSim3Result BitParFaultSim3::run(
         any_alive = true;
         // Distinct groups write distinct result entries, so the tasks
         // never alias; telemetry counters are thread-safe.
-        pool_->submit([&run_chunk, &grp, base, this] {
-          Scratch scratch(*lc_);
-          run_chunk(grp, base, scratch);
+        pool_->submit([&, base] {
+          const obs::SpanTracer::Span span =
+              obs::open_span(telemetry_, "sim3.batch");
+          Scratch scratch(lc);
+          record(simulate_chunk(grp, base, good_frames, frame_binary,
+                                good_binary, scratch, result));
         });
       }
       pool_->wait_idle();
@@ -589,28 +653,19 @@ FaultSim3Result BitParFaultSim3::run(
       // instead of re-streaming the whole chunk per group. Groups are
       // independent, so the visiting order cannot change results.
       if (!serial_scratch.has_value()) serial_scratch.emplace(lc);
-      std::optional<obs::SpanTracer::Span> span;
-      if (telemetry_ != nullptr) span = telemetry_->tracer.span("sim3.batch");
-      std::uint64_t words = 0;
-      std::uint64_t group_frames = 0;
-      std::uint64_t batches = 0;
-      for (const Group& grp : groups) batches += grp.alive != 0 ? 1 : 0;
+      const obs::SpanTracer::Span span =
+          obs::open_span(telemetry_, "sim3.batch");
+      ChunkStats stats;
       for (std::size_t f = 0; f < len; ++f) {
         const Val3* gvals = good_frames[f].data();
         for (Group& grp : groups) {
           if (grp.alive == 0) continue;
           any_alive = true;
-          words += simulate_frame(grp, base + f, gvals, good_binary[f] != 0,
-                                  *serial_scratch, result);
-          ++group_frames;
+          simulate_frame(grp, base + f, gvals, frame_binary[f] != 0,
+                         good_binary[f] != 0, *serial_scratch, result, stats);
         }
       }
-      if (telemetry_ != nullptr) {
-        telemetry_->metrics.counter("sim3.words_evaluated").add(words);
-        telemetry_->metrics.counter("sim3.batches").add(batches);
-        telemetry_->metrics.counter("sim3.levels")
-            .add(lc.level_count() * group_frames);
-      }
+      record(stats);
     }
     if (!any_alive) break;
   }
@@ -643,6 +698,7 @@ void BitParFaultSim3::begin_window(const std::vector<Val3>& good_state,
   window_size_ = fault_indices.size();
   window_live_ = window_size_;
   if (!window_scratch_) window_scratch_ = std::make_unique<Scratch>(*lc_);
+  const bool good_binary = all_binary(good_state);
 
   // Window position p lives in group p / 64, slot p % 64.
   for (std::size_t at = 0; at < fault_indices.size(); at += kPackedSlots) {
@@ -655,9 +711,12 @@ void BitParFaultSim3::begin_window(const std::vector<Val3>& good_state,
       grp.state[d] = broadcast(good_state[d]);
     }
     for (unsigned slot = 0; slot < count; ++slot) {
+      bool binary = good_binary;
       for (const auto& [pos, v] : diffs[at + slot]) {
         set_slot(grp.state[pos], slot, v);
+        binary = binary && is_binary(v);
       }
+      grp.binary |= std::uint64_t{binary} << slot;
     }
     window_groups_.push_back(std::move(grp));
   }
@@ -665,22 +724,23 @@ void BitParFaultSim3::begin_window(const std::vector<Val3>& good_state,
 
 std::vector<std::uint32_t> BitParFaultSim3::step_window(
     const std::vector<Val3>& inputs) {
+  const LevelizedCircuit& lc = *lc_;
+  const bool frame_binary = all_binary(good_.state()) &&
+                            inputs.size() == lc.netlist().input_count() &&
+                            all_binary(inputs);
   good_.step(inputs);
   const Val3* gvals = good_.values().data();
-  const LevelizedCircuit& lc = *lc_;
+  const bool next_binary = all_binary(good_.state());
   Scratch& s = *window_scratch_;
 
+  const obs::SpanTracer::Span span = obs::open_span(telemetry_, "sim3.batch");
   std::vector<std::uint32_t> observed;
-  std::uint64_t words = 0;
-  std::uint64_t frames = 0;
+  ChunkStats stats;
   for (std::size_t gi = 0; gi < window_groups_.size(); ++gi) {
     Group& grp = window_groups_[gi];
-    std::optional<obs::SpanTracer::Span> span;
-    if (telemetry_ != nullptr) span = telemetry_->tracer.span("sim3.batch");
     // Dropping only gates observation (grp.alive = not dropped): every
     // faulty machine keeps simulating exactly, so pass the full mask.
-    words += eval_frame_sparse(grp, gvals, grp.full_mask, s);
-    ++frames;
+    eval_frame(grp, gvals, frame_binary, grp.full_mask, s, stats);
 
     std::uint64_t caught = 0;
     for (const NodeIndex po : lc.outputs()) {
@@ -698,14 +758,10 @@ std::vector<std::uint32_t> BitParFaultSim3::step_window(
       observed.push_back(static_cast<std::uint32_t>(gi * kPackedSlots + slot));
     }
 
-    latch_group(grp, gvals, s);
+    const std::uint64_t xbits = latch_group(grp, gvals, s);
+    grp.binary = next_binary ? grp.full_mask & ~xbits : 0;
   }
-
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics.counter("sim3.words_evaluated").add(words);
-    telemetry_->metrics.counter("sim3.batches").add(window_groups_.size());
-    telemetry_->metrics.counter("sim3.levels").add(lc.level_count() * frames);
-  }
+  record(stats);
   return observed;
 }
 

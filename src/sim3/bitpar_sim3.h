@@ -34,6 +34,12 @@ namespace motsim {
 /// independent, so campaign runs batch them on a util/thread_pool
 /// when configured with more than one worker.
 ///
+/// A group-frame with no X source — binary fault-free present state,
+/// binary input vector, X-free state in every simulated slot — runs
+/// the same sweep on one 64-bit word per node instead of the two-rail
+/// Kleene planes (the two-valued path, docs/SIM3.md); any later X
+/// sends the group back to the three-valued planes.
+///
 /// Results — detected sets, FaultStatus, detect frames and next-state
 /// divergences — are bit-identical to the event-driven reference
 /// backend (FaultSim3) for every sequence, group packing and thread
@@ -79,23 +85,26 @@ class BitParFaultSim3 final : public FaultSimulator3 {
   }
 
  private:
-  /// One input-pin forcing mask of a branch fault.
-  struct BranchForce {
-    std::uint32_t pin;
-    PackedVal3 force;
-  };
-
   /// Up to 64 faults compiled into per-slot injection tables plus the
   /// packed sequential state of their faulty machines.
   struct Group {
     std::vector<std::size_t> members;  ///< fault indices, slot order
     std::uint64_t full_mask = 0;
-    /// Per-node injection kind (node-indexed): bit 0 = stem force,
-    /// bit 1 = branch force. The details live in the sparse lists,
-    /// both sorted by node for range lookup during evaluation.
-    std::vector<std::uint8_t> flags;
+    /// Stem forces, one merged mask per forced node (both polarities
+    /// of one stem can share a group in distinct slots), and their
+    /// node-indexed lookup: stem_at[n] is 1 + the entry of node n, 0
+    /// when n carries no stem force. A group holds at most 64 faults,
+    /// so a byte indexes every table.
     std::vector<std::pair<NodeIndex, PackedVal3>> stem_forces;
-    std::vector<std::pair<NodeIndex, BranchForce>> branch_forces;
+    std::vector<std::uint8_t> stem_at;
+    /// Branch forces: branch_at[n] is 1 + the entry of gate node n in
+    /// branch_pins, 0 when none of its input pins is forced;
+    /// branch_pins holds the offset of the gate's block in pin_forces,
+    /// one force mask per input pin (two for NOT/BUF, whose AND form
+    /// reads pin 0 twice: the second entry repeats the first).
+    std::vector<std::uint8_t> branch_at;
+    std::vector<std::uint32_t> branch_pins;
+    std::vector<PackedVal3> pin_forces;
     /// Next-state forcing masks for DFF D-pin branch faults.
     std::vector<std::pair<std::uint32_t, PackedVal3>> latch_forces;
     /// Stem forces on primary inputs / constants (frame-input seeds).
@@ -112,10 +121,10 @@ class BitParFaultSim3 final : public FaultSimulator3 {
     /// and deduplicated; scheduled unconditionally every frame so a
     /// fault re-injects even when none of its gate's inputs changed.
     std::vector<std::uint32_t> seed_gates;
-    /// Gate-indexed mirrors of `flags`, one bit per compiled gate in
-    /// the schedule-word layout: the sweep tests them against the
+    /// Gate-indexed injection bits, one per compiled gate in the
+    /// schedule-word layout: the sweep tests them against the
     /// schedule bit index directly, off the critical path of the gate
-    /// record load.
+    /// record load, and only a set bit pays a table lookup.
     std::vector<std::uint64_t> stem_gate_bits;
     std::vector<std::uint64_t> branch_gate_bits;
 
@@ -125,9 +134,12 @@ class BitParFaultSim3 final : public FaultSimulator3 {
     std::vector<PackedVal3> state;
     std::vector<std::uint8_t> state_dirty;
     std::uint64_t alive = 0;  ///< not-detected (run) / not-dropped
-    /// Campaign runs (FaultSim3Result::exact_from): slots whose state
-    /// has been X-free after every frame since binary_since[slot],
-    /// with an X-free fault-free state too.
+    /// Slots whose state is X-free, with an X-free fault-free state
+    /// too — as of the last latch (or begin_window). When it covers
+    /// every simulated slot and the next frame's fault-free values are
+    /// binary, that frame runs on the two-valued path. Campaign runs
+    /// also turn it into FaultSim3Result::exact_from: the streak of
+    /// each slot started after frame binary_since[slot].
     std::uint64_t binary = 0;
     std::array<std::uint32_t, kPackedSlots> binary_since{};
   };
@@ -157,17 +169,32 @@ class BitParFaultSim3 final : public FaultSimulator3 {
 
   [[nodiscard]] Group build_group(const std::size_t* fault_indices,
                                   std::size_t count) const;
-  /// Sparse frame evaluation: seeds the group's divergences against
+  /// Sparse frame evaluation over one plane type (the plane policies
+  /// in bitpar_sim3.cpp: two-rail Kleene planes, or one word per node
+  /// on the two-valued path): seeds the group's divergences against
   /// the fault-free values of this frame (`good`, one scalar per node
   /// — the kernel re-broadcasts on the fly, keeping the side channel a
   /// byte per node so it stays L1-resident), propagates level by level
   /// through the fanout CSR, and leaves the divergent planes
-  /// epoch-stamped in `s`. Slots outside `mask` are pinned to the
-  /// fault-free value before storing, so detected (campaign) or
-  /// padding slots generate no activity. Returns the number of packed
-  /// gate words evaluated.
+  /// epoch-stamped in `s` as PackedVal3 (a one-word plane v as
+  /// {v, ~v}). Slots outside `mask` are pinned to the fault-free value
+  /// before storing, so detected (campaign) or padding slots generate
+  /// no activity. Returns the number of packed gate words evaluated.
+  template <typename Plane>
   std::uint64_t eval_frame_sparse(const Group& group, const Val3* good,
                                   std::uint64_t mask, Scratch& s) const;
+
+  struct ChunkStats {
+    std::uint64_t words = 0;   ///< packed gate words evaluated
+    std::uint64_t frames = 0;  ///< group-frames simulated
+    std::uint64_t binary_frames = 0;  ///< of those, on the two-valued path
+  };
+  /// Evaluates one group-frame with the slots of `mask` simulated,
+  /// on the two-valued path when `frame_binary` (every fault-free
+  /// value of the frame is binary) and every simulated slot's state
+  /// is X-free (Group::binary), else on the three-valued planes.
+  void eval_frame(const Group& group, const Val3* good, bool frame_binary,
+                  std::uint64_t mask, Scratch& s, ChunkStats& stats) const;
   /// Latches the planes left by the matching eval_frame_sparse()
   /// (untouched D-pins fall back to the fault-free plane). Returns the
   /// slots whose latched state holds an X on some flip-flop whose plane
@@ -178,28 +205,27 @@ class BitParFaultSim3 final : public FaultSimulator3 {
   /// Campaign kernel for one group over one frame (index `t` in the
   /// sequence): sparse evaluation, SOT detection against the alive
   /// mask, then latching and the X-free streak update
-  /// (`good_state_binary`: the fault-free next state is X-free).
-  /// Returns the packed gate words evaluated. The caller must not
-  /// invoke this once `group.alive` is zero.
-  std::uint64_t simulate_frame(Group& group, std::size_t t,
-                               const Val3* good, bool good_state_binary,
-                               Scratch& scratch,
-                               FaultSim3Result& result) const;
-  struct ChunkStats {
-    std::uint64_t words = 0;   ///< packed gate words evaluated
-    std::uint64_t frames = 0;  ///< frames advanced (early exit cuts short)
-  };
+  /// (`good_state_binary`: the fault-free next state is X-free). The
+  /// caller must not invoke this once `group.alive` is zero.
+  void simulate_frame(Group& group, std::size_t t, const Val3* good,
+                      bool frame_binary, bool good_state_binary,
+                      Scratch& scratch, FaultSim3Result& result,
+                      ChunkStats& stats) const;
   /// One group over one chunk of frames (`good_frames[f]` = fault-free
-  /// node values of frame `base + f`, `good_binary[f]` = its next state
-  /// is X-free) — the unit of thread-pool batching. The serial path
-  /// instead sweeps frame-outer over all groups for cache locality;
-  /// both orders visit the same (group, frame) cells, so results are
-  /// identical.
+  /// node values of frame `base + f`, `frame_binary[f]` = they are all
+  /// binary, `good_binary[f]` = its next state is X-free) — the unit
+  /// of thread-pool batching. The serial path instead sweeps
+  /// frame-outer over all groups for cache locality; both orders visit
+  /// the same (group, frame) cells, so results are identical.
   ChunkStats simulate_chunk(
       Group& group, std::size_t base,
       const std::vector<std::vector<Val3>>& good_frames,
+      const std::vector<std::uint8_t>& frame_binary,
       const std::vector<std::uint8_t>& good_binary, Scratch& scratch,
       FaultSim3Result& result) const;
+  /// Adds one batch of work to the sim3.* counters (no-op without
+  /// telemetry).
+  void record(const ChunkStats& stats) const;
 
   std::shared_ptr<const LevelizedCircuit> lc_;
   std::size_t threads_;

@@ -1,13 +1,16 @@
 // Bit-parallel fault simulator: packed-logic algebra, exact agreement
 // (status AND detection frame) with the serial event-driven simulator
-// across the roster and random circuits, window-session parity, and
-// the FaultSimulator3 factory surface.
+// across the roster and random circuits, the two-valued path's entry
+// and exit, window-session parity, and the FaultSimulator3 factory
+// surface.
 
 #include <gtest/gtest.h>
 
 #include "bench_data/registry.h"
 #include "bench_data/s27.h"
 #include "faults/collapse.h"
+#include "faults/fault_list.h"
+#include "sim3/good_sim3.h"
 #include "logic/packed_val3.h"
 #include "obs/telemetry.h"
 #include "reference.h"
@@ -108,13 +111,29 @@ TEST(PackedVal3, InvariantOnesAndZerosDisjoint) {
 // Exact agreement with the serial simulator
 // ---------------------------------------------------------------------------
 
-void expect_same_results(const Netlist& nl, const TestSequence& seq,
-                         const std::vector<FaultStatus>* initial = nullptr,
-                         std::size_t threads = 1) {
-  const CollapsedFaultList c(nl);
+/// sim3.* counters of one bit-parallel run.
+struct PathCounts {
+  std::uint64_t binary = 0;  ///< sim3.binary_group_frames
+  std::uint64_t total = 0;   ///< sim3.batches (group-frames)
+};
 
-  FaultSim3 serial(nl, c.faults());
-  BitParFaultSim3 parallel(nl, c.faults(), threads);
+PathCounts counts_of(obs::Telemetry& tele) {
+  return {tele.metrics.counter("sim3.binary_group_frames").value(),
+          tele.metrics.counter("sim3.batches").value()};
+}
+
+/// Runs both backends over `faults` and requires identical statuses,
+/// detection frames and exact_from; returns the bit-parallel run's
+/// path counters.
+PathCounts expect_same_results(const Netlist& nl,
+                               const std::vector<Fault>& faults,
+                               const TestSequence& seq,
+                               const std::vector<FaultStatus>* initial,
+                               std::size_t threads) {
+  FaultSim3 serial(nl, faults);
+  BitParFaultSim3 parallel(nl, faults, threads);
+  obs::Telemetry tele;
+  parallel.set_telemetry(&tele);
   if (initial != nullptr) {
     serial.set_initial_status(*initial);
     parallel.set_initial_status(*initial);
@@ -124,14 +143,22 @@ void expect_same_results(const Netlist& nl, const TestSequence& seq,
 
   EXPECT_EQ(rs.detected_count, rp.detected_count) << nl.name();
   EXPECT_EQ(rs.simulated_faults, rp.simulated_faults);
-  for (std::size_t i = 0; i < c.size(); ++i) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
     EXPECT_EQ(rs.status[i], rp.status[i])
-        << nl.name() << " " << fault_name(nl, c.faults()[i]);
+        << nl.name() << " " << fault_name(nl, faults[i]);
     EXPECT_EQ(rs.detect_frame[i], rp.detect_frame[i])
-        << nl.name() << " " << fault_name(nl, c.faults()[i]);
+        << nl.name() << " " << fault_name(nl, faults[i]);
     EXPECT_EQ(rs.exact_from[i], rp.exact_from[i])
-        << nl.name() << " " << fault_name(nl, c.faults()[i]);
+        << nl.name() << " " << fault_name(nl, faults[i]);
   }
+  return counts_of(tele);
+}
+
+PathCounts expect_same_results(const Netlist& nl, const TestSequence& seq,
+                               const std::vector<FaultStatus>* initial = nullptr,
+                               std::size_t threads = 1) {
+  const CollapsedFaultList c(nl);
+  return expect_same_results(nl, c.faults(), seq, initial, threads);
 }
 
 TEST(BitParFaultSim3, MatchesSerialOnS27) {
@@ -286,24 +313,123 @@ TEST(BitParFaultSim3, EmitsTelemetryCounters) {
 }
 
 // ---------------------------------------------------------------------------
+// Two-valued path: a group-frame with no X source runs on one word per
+// node. Results must stay identical to the event backend while groups
+// leave the path on an X and re-enter it once the machines resettle.
+// ---------------------------------------------------------------------------
+
+TEST(TwoValuedPath, XInputsMidRunLeaveAndReenterThePath) {
+  for (const char* name : {"s386", "s713", "s1423", "s1488", "s1494"}) {
+    const Netlist nl = make_benchmark(name);
+    Rng rng(43);
+    // s1423's fault-free machine settles late, so the X vectors come
+    // after frame 100.
+    TestSequence seq = random_sequence(nl, 240, rng);
+    seq[100][0] = Val3::X;
+    seq[101][nl.input_count() - 1] = Val3::X;
+    seq[130][nl.input_count() / 2] = Val3::X;
+    // Everything up to and including the last X vector: the full run
+    // must add two-valued group-frames after it.
+    const TestSequence prefix(seq.begin(), seq.begin() + 131);
+    const PathCounts before = expect_same_results(nl, prefix);
+    for (const std::size_t threads : {1u, 4u}) {
+      const PathCounts full = expect_same_results(nl, seq, nullptr, threads);
+      EXPECT_GT(before.binary, 0u) << name;
+      EXPECT_GT(full.binary, before.binary) << name << " threads=" << threads;
+      EXPECT_LT(full.binary, full.total) << name;
+    }
+  }
+}
+
+TEST(TwoValuedPath, FiresOnS1488AndNeverOnAnXVector) {
+  const Netlist nl = make_benchmark("s1488");
+  Rng rng(47);
+  TestSequence seq = random_sequence(nl, 200, rng);
+  const PathCounts binary = expect_same_results(nl, seq);
+  EXPECT_GT(binary.binary, 0u);
+  EXPECT_LE(binary.binary, binary.total);
+
+  // One X input per vector: every frame keeps the three-valued planes.
+  for (std::size_t t = 0; t < seq.size(); ++t) {
+    seq[t][t % nl.input_count()] = Val3::X;
+  }
+  const PathCounts with_x = expect_same_results(nl, seq);
+  EXPECT_GT(with_x.total, 0u);
+  EXPECT_EQ(with_x.binary, 0u);
+}
+
+/// Every kind of injection: stem faults on primary inputs and
+/// flip-flops, D-pin faults (latch forces), and branch faults on
+/// XOR/XNOR, wide AND/NOR and NOT/BUF pins. Inputs a = 1 synchronize
+/// the machine in three frames.
+Netlist every_force_kind() {
+  Netlist nl("forces");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex c = nl.add_input("c");
+  const NodeIndex e = nl.add_input("e");
+  const NodeIndex p = nl.add_dff(kNoNode, "p");
+  const NodeIndex q = nl.add_dff(kNoNode, "q");
+  const NodeIndex r = nl.add_dff(kNoNode, "r");
+  const NodeIndex x1 = nl.add_gate(GateType::Xor, {a, p}, "x1");
+  const NodeIndex x2 = nl.add_gate(GateType::Xnor, {q, b, c}, "x2");
+  const NodeIndex w = nl.add_gate(GateType::And, {a, b, q, r}, "w");
+  const NodeIndex w2 = nl.add_gate(GateType::Nor, {c, e, p}, "w2");
+  const NodeIndex n1 = nl.add_gate(GateType::Not, {x1}, "n1");
+  const NodeIndex b1 = nl.add_gate(GateType::Buf, {w}, "b1");
+  nl.mark_output(nl.add_gate(GateType::Or, {n1, b1}, "o1"));
+  nl.mark_output(nl.add_gate(GateType::Nand, {x2, w2}, "o2"));
+  nl.mark_output(nl.add_gate(GateType::Xor, {p, r, e}, "o3"));
+  nl.set_fanins(p, {x2});
+  nl.set_fanins(q, {nl.add_gate(GateType::Or, {w2, a}, "dq")});
+  nl.set_fanins(r, {nl.add_gate(GateType::And, {n1, b}, "dr")});
+  nl.finalize();
+  return nl;
+}
+
+TEST(TwoValuedPath, EveryForceKindMatchesTheEventBackend) {
+  const Netlist nl = every_force_kind();
+  const std::vector<Fault> faults = all_faults(nl);
+  ASSERT_GT(faults.size(), 64u);  // two groups, so threads = 4 batches
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    TestSequence seq = random_sequence(nl, 40, rng);
+    for (std::size_t t = 0; t < 3; ++t) seq[t][0] = Val3::One;
+    seq[20][3] = Val3::X;
+    for (const std::size_t threads : {1u, 4u}) {
+      const PathCounts counts =
+          expect_same_results(nl, faults, seq, nullptr, threads);
+      EXPECT_GT(counts.binary, 0u) << "seed " << seed;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Window sessions: both backends must report the same observations,
 // survivors and state divergences frame by frame.
 // ---------------------------------------------------------------------------
 
-void expect_same_windows(const Netlist& nl, const TestSequence& seq,
-                         std::uint64_t drop_seed) {
+/// Steps both backends through one window session from `good_state`
+/// and `diffs` (one entry per collapsed fault) and compares every
+/// observation, survivor and divergence; returns the bit-parallel
+/// session's path counters.
+PathCounts expect_same_windows(const Netlist& nl, const TestSequence& seq,
+                               std::uint64_t drop_seed,
+                               const std::vector<Val3>& good_state,
+                               std::vector<StateDiff3> diffs) {
   const CollapsedFaultList c(nl);
+  obs::Telemetry tele;
+  Sim3EngineConfig ec;
+  ec.telemetry = &tele;
   const auto event = make_fault_simulator3(Sim3Backend::Event, nl, c.faults());
   const auto bitpar =
-      make_fault_simulator3(Sim3Backend::BitPar, nl, c.faults());
+      make_fault_simulator3(Sim3Backend::BitPar, nl, c.faults(), ec);
 
   std::vector<std::size_t> indices(c.size());
   for (std::size_t i = 0; i < c.size(); ++i) indices[i] = i;
-  std::vector<StateDiff3> diffs(c.size());
-  const std::vector<Val3> good_state(nl.dff_count(), Val3::X);
 
   event->begin_window(good_state, indices, diffs);
-  bitpar->begin_window(good_state, indices, diffs);
+  bitpar->begin_window(good_state, indices, std::move(diffs));
 
   // Drop a pseudo-random half of the observations, identically on
   // both engines, to exercise alive-mask handling.
@@ -311,19 +437,19 @@ void expect_same_windows(const Netlist& nl, const TestSequence& seq,
   for (const auto& vec : seq) {
     const auto oe = event->step_window(vec);
     const auto ob = bitpar->step_window(vec);
-    ASSERT_EQ(oe, ob);
+    EXPECT_EQ(oe, ob);
     for (const std::uint32_t pos : oe) {
       if (rng.chance(0.5)) {
         event->drop_window_fault(pos);
         bitpar->drop_window_fault(pos);
       }
     }
-    ASSERT_EQ(event->window_live(), bitpar->window_live());
+    EXPECT_EQ(event->window_live(), bitpar->window_live());
   }
 
-  ASSERT_EQ(event->window_state(), bitpar->window_state());
+  EXPECT_EQ(event->window_state(), bitpar->window_state());
   for (std::uint32_t pos = 0; pos < c.size(); ++pos) {
-    ASSERT_EQ(event->window_fault_alive(pos), bitpar->window_fault_alive(pos))
+    EXPECT_EQ(event->window_fault_alive(pos), bitpar->window_fault_alive(pos))
         << pos;
     if (event->window_fault_alive(pos)) {
       EXPECT_EQ(event->window_diff(pos), bitpar->window_diff(pos)) << pos;
@@ -331,6 +457,15 @@ void expect_same_windows(const Netlist& nl, const TestSequence& seq,
   }
   event->end_window();
   bitpar->end_window();
+  return counts_of(tele);
+}
+
+PathCounts expect_same_windows(const Netlist& nl, const TestSequence& seq,
+                               std::uint64_t drop_seed) {
+  const CollapsedFaultList c(nl);
+  return expect_same_windows(nl, seq, drop_seed,
+                             std::vector<Val3>(nl.dff_count(), Val3::X),
+                             std::vector<StateDiff3>(c.size()));
 }
 
 TEST(BitParFaultSim3, WindowSessionsMatchEventBackend) {
@@ -349,6 +484,40 @@ TEST_P(WindowParity, RandomCircuits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowParity,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(TwoValuedPath, WindowsEnteredFromASettledState) {
+  // The settled hand-off's shape: a binary fault-free state and binary
+  // divergences, so the first step already runs two-valued. An X input
+  // mid-session, or one X divergence in some group, must leave it.
+  for (const char* name : {"s713", "s1488"}) {
+    const Netlist nl = make_benchmark(name);
+    const CollapsedFaultList c(nl);
+    Rng rng(53);
+    const TestSequence warmup = random_sequence(nl, 60, rng);
+    GoodSim3 good(nl);
+    for (const auto& vec : warmup) good.step(vec);
+    const std::vector<Val3> state = good.state();
+    ASSERT_TRUE(std::all_of(state.begin(), state.end(), is_binary)) << name;
+
+    std::vector<StateDiff3> diffs(c.size());
+    for (std::size_t i = 0; i < c.size(); i += 3) {
+      const std::uint32_t pos = static_cast<std::uint32_t>(i % state.size());
+      diffs[i].emplace_back(pos, not3(state[pos]));
+    }
+    TestSequence seq = random_sequence(nl, 30, rng);
+    const PathCounts settled = expect_same_windows(nl, seq, 5, state, diffs);
+    EXPECT_EQ(settled.binary, settled.total) << name;
+
+    seq[10][0] = Val3::X;
+    const PathCounts with_x = expect_same_windows(nl, seq, 5, state, diffs);
+    EXPECT_GT(with_x.binary, 0u) << name;
+    EXPECT_LT(with_x.binary, with_x.total) << name;
+
+    diffs[c.size() - 1] = {{0, Val3::X}};
+    const PathCounts x_slot = expect_same_windows(nl, seq, 5, state, diffs);
+    EXPECT_LT(x_slot.binary, with_x.binary) << name;
+  }
+}
 
 TEST(BitParFaultSim3, WindowBeginRejectsMismatchedDiffs) {
   const Netlist nl = make_s27();

@@ -586,16 +586,169 @@ TEST(X01ExactHandOff, DropsOnlyFaultsExactByTheHandOffFrame) {
   EXPECT_EQ(pr.detect_frame[0], 3u);
 }
 
+// ---------------------------------------------------------------------------
+// X-redundant settled drop: faults ID_X-red flagged X-redundant over a
+// fault-free run already settled at the hand-off, whose state matches
+// the fault-free one, stay out of the binary session (docs/ALGORITHMS.md)
+// ---------------------------------------------------------------------------
+
+TEST(XRedSettledHandOff, RosterVerdictsUnchanged) {
+  struct Case {
+    const char* circuit;
+    Strategy strategy;
+    bool expect_drops;
+  };
+  for (const Case& k : {Case{"s713", Strategy::Mot, false},
+                        Case{"s1488", Strategy::Mot, true},
+                        Case{"s1494", Strategy::Mot, true},
+                        Case{"s298", Strategy::Sot, false}}) {
+    const Netlist nl = make_benchmark(k.circuit);
+    const CollapsedFaultList c(nl);
+    Rng rng(1);
+    const TestSequence seq = random_sequence(nl, 200, rng);
+    SimOptions opts;
+    opts.strategy = k.strategy;
+
+    // The pipeline's stages 1 and 2 by hand.
+    const XRedResult xr = run_id_x_red(nl, seq);
+    const std::vector<FaultStatus> status = xr.classify(c.faults());
+    const std::unique_ptr<FaultSimulator3> x01 =
+        make_fault_simulator3(opts.sim3_backend, nl, c.faults());
+    x01->set_initial_status(status);
+    const FaultSim3Result r3 = x01->run(seq);
+    std::vector<FaultStatus> leftover = r3.status;
+    std::vector<std::uint32_t> xred_from(c.size(), 0);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (leftover[i] != FaultStatus::XRedundant) continue;
+      leftover[i] = FaultStatus::Undetected;
+      xred_from[i] = xr.settled_from();
+    }
+
+    HybridFaultSim plain(nl, c.faults(), opts);
+    plain.set_initial_status(leftover);
+    plain.set_x01_exact_from(r3.exact_from);
+    const HybridResult rp = plain.run(seq);
+    HybridFaultSim dropping(nl, c.faults(), opts);
+    dropping.set_initial_status(leftover);
+    dropping.set_x01_exact_from(r3.exact_from, xred_from);
+    const HybridResult rd = dropping.run(seq);
+    EXPECT_EQ(rp.xred_settled_drops, 0u);
+    EXPECT_EQ(rd.status, rp.status) << k.circuit;
+    EXPECT_EQ(rd.detect_frame, rp.detect_frame) << k.circuit;
+    EXPECT_EQ(rd.x01_exact_drops, rp.x01_exact_drops) << k.circuit;
+    EXPECT_EQ(rd.symbolic_frames, rp.symbolic_frames) << k.circuit;
+    if (k.expect_drops) {
+      EXPECT_GT(rd.xred_settled_drops, 0u) << k.circuit;
+      EXPECT_LT(rd.binary_frames, rp.binary_frames) << k.circuit;
+    }
+
+    // Sharded: every shard gets its slice of both vectors.
+    SimOptions po = opts;
+    po.threads = 4;
+    ParallelSymSim sharded(nl, c.faults(), po);
+    sharded.set_initial_status(leftover);
+    sharded.set_x01_exact_from(r3.exact_from, xred_from);
+    const HybridResult rs = sharded.run(seq);
+    EXPECT_EQ(rs.status, rp.status) << k.circuit;
+    EXPECT_EQ(rs.detect_frame, rp.detect_frame) << k.circuit;
+    if (k.expect_drops) {
+      EXPECT_GT(rs.xred_settled_drops, 0u) << k.circuit;
+    }
+  }
+}
+
+/// Inputs a, b, c. q <- a, and sib = XNOR(q, BUF(q)) AND b is the
+/// constant 1 symbolically in frame 1 (b = 1 there) but {X, 0} to
+/// ID_X-red, so input c's only path g = AND(c, sib) is unobservable
+/// to it (OB = 0): both c faults are X-redundant. d <- g, o = BUF(d).
+Netlist blocked_by_an_early_x() {
+  Netlist nl("early_x");
+  const NodeIndex a = nl.add_input("a");
+  const NodeIndex b = nl.add_input("b");
+  const NodeIndex c = nl.add_input("c");
+  const NodeIndex q = nl.add_dff(a, "q");
+  const NodeIndex same = nl.add_gate(
+      GateType::Xnor, {q, nl.add_gate(GateType::Buf, {q}, "q2")}, "same");
+  const NodeIndex sib = nl.add_gate(GateType::And, {same, b}, "sib");
+  const NodeIndex d =
+      nl.add_dff(nl.add_gate(GateType::And, {c, sib}, "g"), "d");
+  nl.mark_output(nl.add_gate(GateType::Buf, {d}, "o"));
+  nl.finalize();
+  return nl;
+}
+
+TEST(XRedSettledHandOff, KeepsAnXRedundantFaultWithADivergence) {
+  // Frame 1 (b = 1, c = 0) settles both machines symbolically and
+  // ID_X-red's three-valued one (q = a, d = 0), so the hand-off fires
+  // after frame 1 with settled_from = 1. c stuck-at-1 already pushed
+  // g = 1 into d there: its divergence is not empty, o shows it in
+  // frame 2, and dropping it would lose that detection. c stuck-at-0
+  // never diverges (sib = 0 from frame 2 on) and is dropped.
+  const Netlist nl = blocked_by_an_early_x();
+  const NodeIndex c = nl.inputs()[2];
+  const std::vector<Fault> faults{Fault{FaultSite{c, kStemPin}, true},
+                                  Fault{FaultSite{c, kStemPin}, false}};
+  const TestSequence seq{{Val3::Zero, Val3::One, Val3::Zero},
+                         {Val3::One, Val3::Zero, Val3::Zero},
+                         {Val3::Zero, Val3::Zero, Val3::One}};
+  const XRedResult xr = run_id_x_red(nl, seq);
+  EXPECT_EQ(xr.settled_from(), 1u);
+  EXPECT_TRUE(xr.is_x_redundant(faults[0]));
+  EXPECT_TRUE(xr.is_x_redundant(faults[1]));
+
+  for (const bool with_xred : {false, true}) {
+    HybridFaultSim hybrid(nl, faults, ample(Strategy::Mot));
+    if (with_xred) hybrid.set_x01_exact_from({}, {1, 1});
+    const HybridResult r = hybrid.run(seq);
+    EXPECT_EQ(r.symbolic_frames, 1u);
+    EXPECT_EQ(r.xred_settled_drops, with_xred ? 1u : 0u);
+    EXPECT_EQ(r.binary_frames, with_xred ? 1u : 2u);
+    EXPECT_EQ(r.detect_frame[0], 2u) << "with_xred " << with_xred;
+    EXPECT_EQ(r.detect_frame[1], 0u) << "with_xred " << with_xred;
+  }
+
+  // A later settling point keeps both faults in the session.
+  HybridFaultSim late(nl, faults, ample(Strategy::Mot));
+  late.set_x01_exact_from({}, {2, 2});
+  EXPECT_EQ(late.run(seq).xred_settled_drops, 0u);
+
+  const PipelineResult pr =
+      run_pipeline(nl, faults, seq, ample(Strategy::Mot));
+  EXPECT_EQ(pr.x_redundant, 2u);
+  EXPECT_EQ(pr.detect_frame[0], 2u);
+  EXPECT_EQ(pr.status[1], FaultStatus::XRedundant);
+}
+
+TEST(XRedSettledHandOff, SettledFromTracksTheLastXInput) {
+  const Netlist nl = blocked_by_an_early_x();
+  TestSequence seq{{Val3::Zero, Val3::One, Val3::Zero},
+                   {Val3::One, Val3::Zero, Val3::Zero},
+                   {Val3::Zero, Val3::Zero, Val3::One},
+                   {Val3::Zero, Val3::Zero, Val3::One}};
+  EXPECT_EQ(run_id_x_red(nl, seq).settled_from(), 1u);
+  // An X on a is latched into q: frame 3 leaves an X state, frame 4
+  // clears it.
+  seq[2][0] = Val3::X;
+  EXPECT_EQ(run_id_x_red(nl, seq).settled_from(), 4u);
+  // An X in the last vector leaves no settled suffix.
+  seq[3][1] = Val3::X;
+  EXPECT_EQ(run_id_x_red(nl, seq).settled_from(), 0u);
+}
+
 TEST(X01ExactHandOff, MisalignedVectorIsRejected) {
   const Netlist nl = make_benchmark("s27");
   const CollapsedFaultList c(nl);
   HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot));
   EXPECT_THROW(hybrid.set_x01_exact_from(std::vector<std::uint32_t>(1, 0)),
                std::invalid_argument);
+  EXPECT_THROW(hybrid.set_x01_exact_from({}, std::vector<std::uint32_t>(1, 0)),
+               std::invalid_argument);
   SimOptions pc = ample(Strategy::Mot);
   pc.threads = 2;
   ParallelSymSim par(nl, c.faults(), pc);
   EXPECT_THROW(par.set_x01_exact_from(std::vector<std::uint32_t>(1, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(par.set_x01_exact_from({}, std::vector<std::uint32_t>(1, 0)),
                std::invalid_argument);
 }
 
