@@ -49,12 +49,12 @@ void HybridFaultSim::set_sgraph_plan(SgraphPlan plan) {
   sgraph_plan_ = std::move(plan);
 }
 
-void HybridFaultSim::set_x01_exact_from(
+void HybridFaultSim::set_settled_drops(
     std::vector<std::uint32_t> exact_from,
     std::vector<std::uint32_t> xred_settled_from) {
   for (const auto* v : {&exact_from, &xred_settled_from}) {
     if (!v->empty() && v->size() != faults_.size()) {
-      throw std::invalid_argument("set_x01_exact_from: vector does not "
+      throw std::invalid_argument("set_settled_drops: vector does not "
                                   "match the fault list");
     }
   }
@@ -304,7 +304,7 @@ HybridResult HybridFaultSim::run(
   // simulated exactly past frame t cannot be detected in the rest of
   // the sequence, so they stay out of the session; so do X-redundant
   // faults whose state matches the fault-free one after ID_X-red's
-  // own fault-free run has settled (set_x01_exact_from).
+  // own fault-free run has settled (set_settled_drops).
   const bool drop_settled =
       (!exact_from_.empty() || !xred_settled_from_.empty()) &&
       (checkpoint_ == nullptr || options_.checkpoint_interval == 0);

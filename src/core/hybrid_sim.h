@@ -56,12 +56,12 @@ struct HybridResult {
   std::uint64_t mot_downgrades = 0;
   /// Live faults left out of the settled hand-off because the
   /// three-valued stage already simulated their remaining frames
-  /// exactly (set_x01_exact_from).
+  /// exactly (set_settled_drops).
   std::uint64_t x01_exact_drops = 0;
   /// Live faults left out of the settled hand-off because ID_X-red
   /// flagged them X-redundant over a fault-free run already settled
   /// by then, and their state equals the fault-free one
-  /// (set_x01_exact_from's `xred_settled_from`).
+  /// (set_settled_drops's `xred_settled_from`).
   std::uint64_t xred_settled_drops = 0;
 };
 
@@ -140,19 +140,20 @@ class HybridFaultSim {
   ///  - `exact_from` (FaultSim3Result::exact_from) is in 1..t: that
   ///    stage saw its remaining frames exactly and found no output
   ///    difference, so no strategy can detect it there; or
-  ///  - `xred_settled_from` (XRedResult::settled_from for faults
-  ///    ID_X-red flagged X-redundant, 0 for the others) is in 1..t and
-  ///    its faulty state equals the fault-free one: from there on the
-  ///    flag's I_X/OB summaries are exact, so the fault is never
-  ///    activated, or stays blocked inside its fanout-free region, and
-  ///    the faulty machine never leaves the fault-free one.
+  ///  - `xred_settled_from` is in 1..t and its faulty state equals the
+  ///    fault-free one: from there on the flag's I_X/OB summaries are
+  ///    exact, so the fault is never activated, or stays blocked inside
+  ///    its fanout-free region, and the faulty machine never leaves the
+  ///    fault-free one. This vector is not X01 data: it holds ID_X-red's
+  ///    one XRedResult::settled_from for each fault ID_X-red flagged
+  ///    X-redundant, and 0 (never drop) for the others.
   /// Either way verdicts and detection frames are unchanged. Symbolic
   /// and window modes never consult them. Ignored while checkpoints
   /// are emitted, since a binary-mode record must carry every live
   /// fault's divergence. An empty vector (the default) disables its
   /// drop.
-  void set_x01_exact_from(std::vector<std::uint32_t> exact_from,
-                          std::vector<std::uint32_t> xred_settled_from = {});
+  void set_settled_drops(std::vector<std::uint32_t> exact_from,
+                         std::vector<std::uint32_t> xred_settled_from = {});
 
   /// Supplies the compiled view of the netlist that the symbolic and
   /// three-valued engines of the run read (read-only, so one view may

@@ -118,12 +118,12 @@ void ParallelSymSim::set_sgraph_plan(SgraphPlan plan) {
   sgraph_plan_ = std::move(plan);
 }
 
-void ParallelSymSim::set_x01_exact_from(
+void ParallelSymSim::set_settled_drops(
     std::vector<std::uint32_t> exact_from,
     std::vector<std::uint32_t> xred_settled_from) {
   for (const auto* v : {&exact_from, &xred_settled_from}) {
     if (!v->empty() && v->size() != faults_.size()) {
-      throw std::invalid_argument("set_x01_exact_from: vector does not "
+      throw std::invalid_argument("set_settled_drops: vector does not "
                                   "match the fault list");
     }
   }
@@ -311,7 +311,7 @@ HybridResult ParallelSymSim::run(
           }
           return chunk;
         };
-        sim.set_x01_exact_from(slice(exact_from_), slice(xred_settled_from_));
+        sim.set_settled_drops(slice(exact_from_), slice(xred_settled_from_));
         const obs::SpanTracer::Span shard_span =
             obs::open_span(telemetry, "shard");
         const Stopwatch shard_timer;

@@ -134,10 +134,10 @@ class ParallelSymSim {
 
   /// Supplies the three-valued stage's exact_from and ID_X-red's
   /// per-fault settled_from in this fault list's global indexing (see
-  /// HybridFaultSim::set_x01_exact_from); the driver slices both per
+  /// HybridFaultSim::set_settled_drops); the driver slices both per
   /// chunk. An empty vector (the default) disables its hand-off drop.
-  void set_x01_exact_from(std::vector<std::uint32_t> exact_from,
-                          std::vector<std::uint32_t> xred_settled_from = {});
+  void set_settled_drops(std::vector<std::uint32_t> exact_from,
+                         std::vector<std::uint32_t> xred_settled_from = {});
 
   /// Thread count after resolving 0 to the hardware default.
   [[nodiscard]] std::size_t resolved_threads() const noexcept;

@@ -214,8 +214,8 @@ PipelineResult run_pipeline(const Netlist& netlist,
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
-      sym.set_x01_exact_from(std::move(exact_from),
-                             std::move(xred_settled_from));
+      sym.set_settled_drops(std::move(exact_from),
+                            std::move(xred_settled_from));
       rs = sym.run(sequence);
     } else {
       ParallelSymSim sym(netlist, faults, options);
@@ -225,8 +225,8 @@ PipelineResult run_pipeline(const Netlist& netlist,
       if (!tied.empty()) sym.set_tied_constants(tied);
       if (trim_plan) sym.set_trim_plan(*trim_plan);
       if (sgraph_plan) sym.set_sgraph_plan(*sgraph_plan);
-      sym.set_x01_exact_from(std::move(exact_from),
-                             std::move(xred_settled_from));
+      sym.set_settled_drops(std::move(exact_from),
+                            std::move(xred_settled_from));
       rs = sym.run(sequence);
     }
     result.seconds_symbolic = timer.elapsed_seconds();

@@ -126,7 +126,13 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
   grp.alive = grp.full_mask;
   grp.stem_at.assign(nl.node_count(), 0);
   grp.branch_at.assign(nl.node_count(), 0);
-  std::vector<NodeIndex> branch_nodes;
+  const std::size_t words = (lc_->gates().size() + 63) / 64;
+  grp.stem_gate_bits.assign(words, 0);
+  grp.branch_gate_bits.assign(words, 0);
+  // At most one branch_pins entry per fault; most forced gates have
+  // arity <= 2, so two pin entries per fault rarely regrow pin_forces.
+  grp.branch_pins.reserve(count);
+  grp.pin_forces.reserve(2 * count);
 
   for (unsigned slot = 0; slot < count; ++slot) {
     const Fault& f = faults_[fault_indices[slot]];
@@ -150,14 +156,16 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
     } else if (nl.type(node) == GateType::Dff) {
       grp.latch_forces.emplace_back(nl.dff_position(node), force);
     } else {
-      const LevGate& g = lc_->gates()[gate_of[node]];
+      const std::uint32_t gi = gate_of[node];
+      const LevGate& g = lc_->gates()[gi];
       std::uint8_t& at = grp.branch_at[node];
       if (at == 0) {
         grp.branch_pins.push_back(
             static_cast<std::uint32_t>(grp.pin_forces.size()));
         grp.pin_forces.resize(grp.pin_forces.size() +
                               std::max<std::size_t>(g.arity, 2));
-        branch_nodes.push_back(node);
+        grp.branch_gate_bits[gi >> 6] |= std::uint64_t{1} << (gi & 63);
+        grp.seed_gates.push_back(gi);
         at = static_cast<std::uint8_t>(grp.branch_pins.size());
       }
       PackedVal3* pins = grp.pin_forces.data() + grp.branch_pins[at - 1];
@@ -169,9 +177,6 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
   // Compile the per-frame seed sets for the sparse kernel: stem forces
   // on frame inputs apply at load time; every injected compiled gate
   // is scheduled unconditionally each frame.
-  const std::size_t words = (lc_->gates().size() + 63) / 64;
-  grp.stem_gate_bits.assign(words, 0);
-  grp.branch_gate_bits.assign(words, 0);
   for (const auto& [node, force] : grp.stem_forces) {
     if (gate_of[node] != LevelizedCircuit::kNoGate) {
       const std::uint32_t gi = gate_of[node];
@@ -186,11 +191,6 @@ BitParFaultSim3::Group BitParFaultSim3::build_group(
     } else {
       grp.input_stem_forces.emplace_back(node, force);
     }
-  }
-  for (const NodeIndex node : branch_nodes) {
-    const std::uint32_t gi = gate_of[node];
-    grp.branch_gate_bits[gi >> 6] |= std::uint64_t{1} << (gi & 63);
-    grp.seed_gates.push_back(gi);
   }
   std::sort(grp.seed_gates.begin(), grp.seed_gates.end());
   grp.seed_gates.erase(

@@ -411,12 +411,13 @@ TEST(TwoValuedPath, EveryForceKindMatchesTheEventBackend) {
 
 /// Steps both backends through one window session from `good_state`
 /// and `diffs` (one entry per collapsed fault) and compares every
-/// observation, survivor and divergence; returns the bit-parallel
-/// session's path counters.
-PathCounts expect_same_windows(const Netlist& nl, const TestSequence& seq,
-                               std::uint64_t drop_seed,
-                               const std::vector<Val3>& good_state,
-                               std::vector<StateDiff3> diffs) {
+/// observation, survivor and divergence; stores the bit-parallel
+/// session's path counters in `*counts` when given.
+void expect_same_windows(const Netlist& nl, const TestSequence& seq,
+                         std::uint64_t drop_seed,
+                         const std::vector<Val3>& good_state,
+                         std::vector<StateDiff3> diffs,
+                         PathCounts* counts = nullptr) {
   const CollapsedFaultList c(nl);
   obs::Telemetry tele;
   Sim3EngineConfig ec;
@@ -437,19 +438,19 @@ PathCounts expect_same_windows(const Netlist& nl, const TestSequence& seq,
   for (const auto& vec : seq) {
     const auto oe = event->step_window(vec);
     const auto ob = bitpar->step_window(vec);
-    EXPECT_EQ(oe, ob);
+    ASSERT_EQ(oe, ob);
     for (const std::uint32_t pos : oe) {
       if (rng.chance(0.5)) {
         event->drop_window_fault(pos);
         bitpar->drop_window_fault(pos);
       }
     }
-    EXPECT_EQ(event->window_live(), bitpar->window_live());
+    ASSERT_EQ(event->window_live(), bitpar->window_live());
   }
 
-  EXPECT_EQ(event->window_state(), bitpar->window_state());
+  ASSERT_EQ(event->window_state(), bitpar->window_state());
   for (std::uint32_t pos = 0; pos < c.size(); ++pos) {
-    EXPECT_EQ(event->window_fault_alive(pos), bitpar->window_fault_alive(pos))
+    ASSERT_EQ(event->window_fault_alive(pos), bitpar->window_fault_alive(pos))
         << pos;
     if (event->window_fault_alive(pos)) {
       EXPECT_EQ(event->window_diff(pos), bitpar->window_diff(pos)) << pos;
@@ -457,15 +458,15 @@ PathCounts expect_same_windows(const Netlist& nl, const TestSequence& seq,
   }
   event->end_window();
   bitpar->end_window();
-  return counts_of(tele);
+  if (counts != nullptr) *counts = counts_of(tele);
 }
 
-PathCounts expect_same_windows(const Netlist& nl, const TestSequence& seq,
-                               std::uint64_t drop_seed) {
+void expect_same_windows(const Netlist& nl, const TestSequence& seq,
+                         std::uint64_t drop_seed) {
   const CollapsedFaultList c(nl);
-  return expect_same_windows(nl, seq, drop_seed,
-                             std::vector<Val3>(nl.dff_count(), Val3::X),
-                             std::vector<StateDiff3>(c.size()));
+  expect_same_windows(nl, seq, drop_seed,
+                      std::vector<Val3>(nl.dff_count(), Val3::X),
+                      std::vector<StateDiff3>(c.size()));
 }
 
 TEST(BitParFaultSim3, WindowSessionsMatchEventBackend) {
@@ -505,16 +506,22 @@ TEST(TwoValuedPath, WindowsEnteredFromASettledState) {
       diffs[i].emplace_back(pos, not3(state[pos]));
     }
     TestSequence seq = random_sequence(nl, 30, rng);
-    const PathCounts settled = expect_same_windows(nl, seq, 5, state, diffs);
+    PathCounts settled;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_windows(nl, seq, 5, state, diffs, &settled));
     EXPECT_EQ(settled.binary, settled.total) << name;
 
     seq[10][0] = Val3::X;
-    const PathCounts with_x = expect_same_windows(nl, seq, 5, state, diffs);
+    PathCounts with_x;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_windows(nl, seq, 5, state, diffs, &with_x));
     EXPECT_GT(with_x.binary, 0u) << name;
     EXPECT_LT(with_x.binary, with_x.total) << name;
 
     diffs[c.size() - 1] = {{0, Val3::X}};
-    const PathCounts x_slot = expect_same_windows(nl, seq, 5, state, diffs);
+    PathCounts x_slot;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_windows(nl, seq, 5, state, diffs, &x_slot));
     EXPECT_LT(x_slot.binary, with_x.binary) << name;
   }
 }

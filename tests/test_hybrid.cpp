@@ -493,7 +493,7 @@ TEST_P(X01ExactHandOff, PipelineMatchesHandOffWithoutTheVector) {
   const HybridResult rp = plain.run(seq);
   HybridFaultSim dropping(nl, c.faults(), opts);
   dropping.set_initial_status(leftover);
-  dropping.set_x01_exact_from(r3.exact_from);
+  dropping.set_settled_drops(r3.exact_from);
   const HybridResult rd = dropping.run(seq);
 
   EXPECT_EQ(rp.x01_exact_drops, 0u);
@@ -572,7 +572,7 @@ TEST(X01ExactHandOff, DropsOnlyFaultsExactByTheHandOffFrame) {
   // its exact_from is nonzero and at most 1.
   for (const std::uint32_t k : {0u, 1u, 2u}) {
     HybridFaultSim hybrid(nl, faults, ample(Strategy::Mot));
-    hybrid.set_x01_exact_from({k});
+    hybrid.set_settled_drops({k});
     const HybridResult r = hybrid.run(seq);
     EXPECT_EQ(r.symbolic_frames, 1u);
     EXPECT_EQ(r.binary_frames, k == 1 ? 0u : 2u);  // frames 2 and 3
@@ -626,11 +626,11 @@ TEST(XRedSettledHandOff, RosterVerdictsUnchanged) {
 
     HybridFaultSim plain(nl, c.faults(), opts);
     plain.set_initial_status(leftover);
-    plain.set_x01_exact_from(r3.exact_from);
+    plain.set_settled_drops(r3.exact_from);
     const HybridResult rp = plain.run(seq);
     HybridFaultSim dropping(nl, c.faults(), opts);
     dropping.set_initial_status(leftover);
-    dropping.set_x01_exact_from(r3.exact_from, xred_from);
+    dropping.set_settled_drops(r3.exact_from, xred_from);
     const HybridResult rd = dropping.run(seq);
     EXPECT_EQ(rp.xred_settled_drops, 0u);
     EXPECT_EQ(rd.status, rp.status) << k.circuit;
@@ -647,7 +647,7 @@ TEST(XRedSettledHandOff, RosterVerdictsUnchanged) {
     po.threads = 4;
     ParallelSymSim sharded(nl, c.faults(), po);
     sharded.set_initial_status(leftover);
-    sharded.set_x01_exact_from(r3.exact_from, xred_from);
+    sharded.set_settled_drops(r3.exact_from, xred_from);
     const HybridResult rs = sharded.run(seq);
     EXPECT_EQ(rs.status, rp.status) << k.circuit;
     EXPECT_EQ(rs.detect_frame, rp.detect_frame) << k.circuit;
@@ -698,7 +698,7 @@ TEST(XRedSettledHandOff, KeepsAnXRedundantFaultWithADivergence) {
 
   for (const bool with_xred : {false, true}) {
     HybridFaultSim hybrid(nl, faults, ample(Strategy::Mot));
-    if (with_xred) hybrid.set_x01_exact_from({}, {1, 1});
+    if (with_xred) hybrid.set_settled_drops({}, {1, 1});
     const HybridResult r = hybrid.run(seq);
     EXPECT_EQ(r.symbolic_frames, 1u);
     EXPECT_EQ(r.xred_settled_drops, with_xred ? 1u : 0u);
@@ -709,7 +709,7 @@ TEST(XRedSettledHandOff, KeepsAnXRedundantFaultWithADivergence) {
 
   // A later settling point keeps both faults in the session.
   HybridFaultSim late(nl, faults, ample(Strategy::Mot));
-  late.set_x01_exact_from({}, {2, 2});
+  late.set_settled_drops({}, {2, 2});
   EXPECT_EQ(late.run(seq).xred_settled_drops, 0u);
 
   const PipelineResult pr =
@@ -739,16 +739,16 @@ TEST(X01ExactHandOff, MisalignedVectorIsRejected) {
   const Netlist nl = make_benchmark("s27");
   const CollapsedFaultList c(nl);
   HybridFaultSim hybrid(nl, c.faults(), ample(Strategy::Mot));
-  EXPECT_THROW(hybrid.set_x01_exact_from(std::vector<std::uint32_t>(1, 0)),
+  EXPECT_THROW(hybrid.set_settled_drops(std::vector<std::uint32_t>(1, 0)),
                std::invalid_argument);
-  EXPECT_THROW(hybrid.set_x01_exact_from({}, std::vector<std::uint32_t>(1, 0)),
+  EXPECT_THROW(hybrid.set_settled_drops({}, std::vector<std::uint32_t>(1, 0)),
                std::invalid_argument);
   SimOptions pc = ample(Strategy::Mot);
   pc.threads = 2;
   ParallelSymSim par(nl, c.faults(), pc);
-  EXPECT_THROW(par.set_x01_exact_from(std::vector<std::uint32_t>(1, 0)),
+  EXPECT_THROW(par.set_settled_drops(std::vector<std::uint32_t>(1, 0)),
                std::invalid_argument);
-  EXPECT_THROW(par.set_x01_exact_from({}, std::vector<std::uint32_t>(1, 0)),
+  EXPECT_THROW(par.set_settled_drops({}, std::vector<std::uint32_t>(1, 0)),
                std::invalid_argument);
 }
 
