@@ -8,6 +8,7 @@
 #include "analysis/sgraph.h"
 #include "analysis/static_xred.h"
 #include "analysis/trim.h"
+#include "core/explicit_sim.h"
 #include "core/parallel_sym_sim.h"
 #include "core/xred.h"
 #include "obs/telemetry.h"
@@ -54,6 +55,11 @@ PipelineResult run_pipeline(const Netlist& netlist,
                             ProgressSink* progress,
                             CheckpointSink* checkpoint) {
   const SimOptions options = unchecked.validated();
+  // Small state spaces run the symbolic stage on the explicit-state
+  // engine, which needs none of the OBDD engines' plans.
+  const bool explicit_state =
+      netlist.dff_count() <= ExplicitStateSim::kMaxDffs &&
+      checkpoint == nullptr && options.checkpoint_interval == 0;
   PipelineResult result;
   result.detect_frame.assign(faults.size(), 0);
   obs::Telemetry* const telemetry = options.telemetry;
@@ -78,7 +84,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
     const ImplicationEngine eng(netlist);
     result.static_untestable = eng.classify(faults, status);
     if (eng.tied_constant_count() != 0) tied = eng.tied_constants();
-    if (options.run_symbolic && options.trim) {
+    if (options.run_symbolic && options.trim && !explicit_state) {
       trim_plan = build_trim_plan(eng, faults);
     }
     result.seconds_analysis = timer.elapsed_seconds();
@@ -181,7 +187,7 @@ PipelineResult run_pipeline(const Netlist& netlist,
     // so serial and parallel runs (and every shard) share it; either
     // engine would derive the identical plan on its own.
     std::optional<SgraphPlan> sgraph_plan;
-    if (options.sgraph) {
+    if (options.sgraph && !explicit_state) {
       obs::SpanTracer::Span plan_span =
           obs::open_span(telemetry, "plan.sgraph");
       sgraph_plan = build_sgraph_plan(netlist, faults);
@@ -205,7 +211,14 @@ PipelineResult run_pipeline(const Netlist& netlist,
       xred_settled_from.clear();
     }
     HybridResult rs;
-    if (options.threads == 1) {
+    if (explicit_state) {
+      ExplicitStateSim sym(circuit, faults, options);
+      sym.set_initial_status(leftover);
+      sym.set_progress(progress);
+      sym.set_settled_drops(std::move(exact_from),
+                            std::move(xred_settled_from));
+      rs = sym.run(sequence);
+    } else if (options.threads == 1) {
       HybridFaultSim sym(netlist, faults, options);
       sym.set_circuit(circuit);
       sym.set_initial_status(leftover);
@@ -237,6 +250,9 @@ PipelineResult run_pipeline(const Netlist& netlist,
     result.symbolic_frames = rs.symbolic_frames;
     result.three_valued_frames = rs.three_valued_frames;
     result.binary_frames = rs.binary_frames;
+    result.x01_exact_drops = rs.x01_exact_drops;
+    result.xred_settled_drops = rs.xred_settled_drops;
+    result.explicit_state = explicit_state;
     result.frames_skipped = rs.frames_skipped;
     result.faults_terminated_early = rs.faults_terminated_early;
     result.faultfree_evals_shared = rs.faultfree_evals_shared;

@@ -49,6 +49,17 @@ struct PipelineResult {
   std::size_t symbolic_frames = 0;
   std::size_t three_valued_frames = 0;
   std::size_t binary_frames = 0;
+  /// Live faults the symbolic stage dropped on settling because the
+  /// three-valued stage had already simulated their remaining frames
+  /// exactly (HybridResult::x01_exact_drops), and X-redundant faults
+  /// dropped once settled on the fault-free state
+  /// (HybridResult::xred_settled_drops). Summed over shards.
+  std::uint64_t x01_exact_drops = 0;
+  std::uint64_t xred_settled_drops = 0;
+  /// True when the symbolic stage ran on the explicit-state engine
+  /// (ExplicitStateSim: at most ExplicitStateSim::kMaxDffs flip-flops
+  /// and no checkpoints), false when it ran on the OBDD engines.
+  bool explicit_state = false;
   /// True if the symbolic stage was skipped because the sequence
   /// carries X (partially specified) inputs, which only the
   /// three-valued stage supports.
@@ -92,6 +103,12 @@ struct PipelineResult {
 ///
 /// `options` is validated first (std::invalid_argument carrying the
 /// validate() message on failure).
+///
+/// The symbolic stage runs on ExplicitStateSim when the circuit has at
+/// most ExplicitStateSim::kMaxDffs flip-flops and the run emits no
+/// checkpoints (`checkpoint == nullptr` and
+/// `options.checkpoint_interval == 0`), whatever `options.threads`;
+/// otherwise on HybridFaultSim (`threads == 1`) or ParallelSymSim.
 ///
 /// `progress` (optional) observes the symbolic stage; see ProgressSink
 /// for the threading contract under `options.threads != 1`.
