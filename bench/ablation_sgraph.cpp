@@ -34,6 +34,13 @@
 //    and the on-run must downgrade it — mot_downgrades > 0 on an
 //    s27-class circuit.
 //
+// s27 and its comparator have three flip-flops, so run_pipeline would
+// send their symbolic stage to the explicit-state engine, which has no
+// s-graph pass. Those two workloads therefore drive HybridFaultSim
+// (threads 1) and ParallelSymSim (threads 4) directly on the whole
+// fault list, with the same options; the acyclic profile (10
+// flip-flops) still goes through run_pipeline.
+//
 // The analysis stage stays OFF here (unlike ablation_trim): the
 // static X-red analysis would prune the deliberately redundant
 // comparator fault before the symbolic stage ever saw it.
@@ -49,6 +56,9 @@
 #include "bench_data/s27.h"
 #include "bench_data/synth_gen.h"
 #include "circuit/bench_io.h"
+#include "analysis/sgraph.h"
+#include "core/hybrid_sim.h"
+#include "core/parallel_sym_sim.h"
 #include "core/pipeline.h"
 #include "faults/collapse.h"
 #include "faults/fault.h"
@@ -68,6 +78,8 @@ struct Workload {
   /// rMOT/MOT faults — both directions are hard gates.
   bool expect_downgrades;
   int reps;
+  /// Drive the OBDD engines directly instead of run_pipeline.
+  bool direct = false;
 };
 
 struct Measurement {
@@ -75,9 +87,32 @@ struct Measurement {
   PipelineResult result;
 };
 
+/// The symbolic stage alone on the OBDD engine `opts.threads` selects,
+/// reported in the fields the gates read.
+PipelineResult run_obdd_engine(const Netlist& nl,
+                               const std::vector<Fault>& faults,
+                               const TestSequence& seq,
+                               const SimOptions& opts) {
+  HybridResult h;
+  if (opts.threads == 1) {
+    HybridFaultSim sim(nl, faults, opts);
+    h = sim.run(seq);
+  } else {
+    ParallelSymSim sim(nl, faults, opts);
+    h = sim.run(seq);
+  }
+  PipelineResult r;
+  r.status = std::move(h.status);
+  r.detect_frame = std::move(h.detect_frame);
+  r.used_fallback = h.used_fallback;
+  r.mot_downgrades = h.mot_downgrades;
+  if (opts.sgraph) r.sgraph_sccs = build_sgraph_plan(nl, faults).nontrivial_sccs;
+  return r;
+}
+
 Measurement measure(const Netlist& nl, const std::vector<Fault>& faults,
                     const TestSequence& seq, Strategy strategy,
-                    std::size_t threads, int reps, bool sgraph) {
+                    std::size_t threads, int reps, bool sgraph, bool direct) {
   SimOptions opts;
   opts.strategy = strategy;
   opts.threads = threads;
@@ -86,7 +121,8 @@ Measurement measure(const Netlist& nl, const std::vector<Fault>& faults,
   Measurement best;
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
-    PipelineResult r = run_pipeline(nl, faults, seq, opts);
+    PipelineResult r = direct ? run_obdd_engine(nl, faults, seq, opts)
+                              : run_pipeline(nl, faults, seq, opts);
     const double secs = timer.elapsed_seconds();
     if (secs < best.seconds) {
       best.seconds = secs;
@@ -155,8 +191,10 @@ int main() {
                            "pipe-acyclic", 5, 3, 10, 80,
                            CircuitStyle::AcyclicPipeline, workload_seed()}),
                        v != 0 ? v : 48, true, reps});
-  workloads.push_back({make_benchmark("s27"), v != 0 ? v : 96, false, reps});
-  workloads.push_back({make_s27_comparator(), v != 0 ? v : 96, true, reps});
+  workloads.push_back(
+      {make_benchmark("s27"), v != 0 ? v : 96, false, reps, true});
+  workloads.push_back(
+      {make_s27_comparator(), v != 0 ? v : 96, true, reps, true});
 
   const Strategy strategies[] = {Strategy::Sot, Strategy::Rmot, Strategy::Mot};
   const std::size_t thread_counts[] = {1, 4};
@@ -178,9 +216,9 @@ int main() {
       std::vector<Measurement> on_runs;
       for (std::size_t threads : thread_counts) {
         const Measurement off = measure(nl, faults.faults(), seq, strategy,
-                                        threads, w.reps, false);
+                                        threads, w.reps, false, w.direct);
         const Measurement on = measure(nl, faults.faults(), seq, strategy,
-                                       threads, w.reps, true);
+                                       threads, w.reps, true, w.direct);
 
         // Hard gates. (1) bit-identity on vs off.
         if (!detection_identical(nl, faults.faults(), "sgraph on vs off",

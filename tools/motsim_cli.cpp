@@ -9,10 +9,13 @@
 //   --vectors N      random test-sequence length       (default 200)
 //   --seed N         workload seed                     (default 1)
 //   --strategy S     sot | rmot | mot                  (default mot)
-//   --node-limit N   hybrid OBDD space limit           (default 30000)
+//   --node-limit N   hybrid OBDD space limit           (default 30000;
+//                    unused on circuits with <= 8 flip-flops, whose
+//                    symbolic stage runs on the explicit-state engine)
 //   --layout L       interleaved | blocked             (default interleaved)
 //   --threads N      symbolic-stage workers; 0 = all
-//                    hardware threads                  (default 1)
+//                    hardware threads                  (default 1;
+//                    serial on <= 8 flip-flops, see --node-limit)
 //   --chunk-size N   faults per parallel shard; 0 = auto
 //   --progress       live progress of the symbolic stage on stderr
 //   --lint           static analysis first: structurally undetectable
@@ -129,10 +132,13 @@ struct Options {
                "  --vectors N        random sequence length (default 200)\n"
                "  --seed N           workload seed (default 1)\n"
                "  --strategy S       sot | rmot | mot (default mot)\n"
-               "  --node-limit N     hybrid OBDD limit (default 30000)\n"
+               "  --node-limit N     hybrid OBDD limit (default 30000;\n"
+               "                     unused with <= 8 flip-flops: the\n"
+               "                     explicit-state engine runs there)\n"
                "  --layout L         interleaved | blocked\n"
                "  --threads N        symbolic-stage workers; 0 = all "
                "hardware threads\n"
+               "                     (serial with <= 8 flip-flops)\n"
                "  --chunk-size N     faults per parallel shard (0 = auto)\n"
                "  --progress         live symbolic-stage progress on "
                "stderr\n"
@@ -458,17 +464,22 @@ int write_report_json(const Options& o, const Netlist& nl,
   return 0;
 }
 
-/// Frames the symbolic stage ran in each of its three modes.
+/// Frames the symbolic stage ran in each of its three modes, and the
+/// live faults it dropped on settling (X01-exact, X-redundant).
 struct ModeFrames {
   std::size_t symbolic = 0;
   std::size_t three_valued = 0;
   std::size_t binary = 0;
+  std::uint64_t x01_exact_drops = 0;
+  std::uint64_t xred_settled_drops = 0;
 };
 
 void print_mode_frames(const ModeFrames& f) {
   std::printf("modes:      %zu symbolic, %zu three-valued, %zu binary "
-              "frames\n",
-              f.symbolic, f.three_valued, f.binary);
+              "frames; settled drops: %llu X01-exact, %llu X-redundant\n",
+              f.symbolic, f.three_valued, f.binary,
+              static_cast<unsigned long long>(f.x01_exact_drops),
+              static_cast<unsigned long long>(f.xred_settled_drops));
 }
 
 /// The coverage summary as one JSON object, extended by the symbolic
@@ -480,7 +491,10 @@ std::string summary_json(const CoverageSummary& summary,
   json.pop_back();  // reopen the object
   json += ",\"symbolic_frames\":" + std::to_string(frames->symbolic) +
           ",\"three_valued_frames\":" + std::to_string(frames->three_valued) +
-          ",\"binary_frames\":" + std::to_string(frames->binary) + "}";
+          ",\"binary_frames\":" + std::to_string(frames->binary) +
+          ",\"x01_exact_drops\":" + std::to_string(frames->x01_exact_drops) +
+          ",\"xred_settled_drops\":" +
+          std::to_string(frames->xred_settled_drops) + "}";
   return json;
 }
 
@@ -606,7 +620,8 @@ int run_campaign_mode(const Options& o, const Netlist& nl,
               r.sym.checkpoint_syncs, r.sym.fallback_windows,
               r.sym.used_fallback ? "  [*coverage is a lower bound]" : "");
   const ModeFrames frames{r.sym.symbolic_frames, r.sym.three_valued_frames,
-                          r.sym.binary_frames};
+                          r.sym.binary_frames, r.sym.x01_exact_drops,
+                          r.sym.xred_settled_drops};
   print_mode_frames(frames);
   std::printf("\n%s", r.summary().to_string().c_str());
   if (o.json) std::printf("%s\n", summary_json(r.summary(), &frames).c_str());
@@ -789,7 +804,8 @@ int main(int argc, char** argv) {
   std::printf("X01 stage:  %zu faults detected          (%.3f s, %s)\n",
               r.detected_3v, r.seconds_3v, to_cstring(o.sim.sim3_backend));
   const ModeFrames frames{r.symbolic_frames, r.three_valued_frames,
-                          r.binary_frames};
+                          r.binary_frames, r.x01_exact_drops,
+                          r.xred_settled_drops};
   const ModeFrames* symbolic_frames = nullptr;  ///< set when the stage ran
   if (o.sim.run_symbolic && r.symbolic_skipped_x_inputs) {
     std::printf("symbolic:   skipped — the sequence carries X inputs "
@@ -797,7 +813,9 @@ int main(int argc, char** argv) {
   } else if (o.sim.run_symbolic) {
     std::printf("symbolic:   %zu additional faults        (%.3f s%s)%s\n",
                 r.detected_symbolic, r.seconds_symbolic,
-                o.sim.threads == 1 ? "" : ", fault-sharded",
+                r.explicit_state      ? ", explicit-state"
+                : o.sim.threads == 1 ? ""
+                                     : ", fault-sharded",
                 r.used_fallback ? "  [*three-valued fallback ran]" : "");
     print_mode_frames(frames);
     symbolic_frames = &frames;
