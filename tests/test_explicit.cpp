@@ -134,6 +134,28 @@ TEST(ExplicitState, RejectsLargeCircuitsAndXInputs) {
   EXPECT_THROW((void)sim.run(seq), std::invalid_argument);
 }
 
+TEST(ExplicitState, PipelineIgnoresTheThreadCount) {
+  for (const char* name : {"s27", "s208.1"}) {
+    const Netlist nl = make_benchmark(name);
+    const std::vector<Fault> faults = CollapsedFaultList(nl).faults();
+    Rng rng(31);
+    const TestSequence seq = random_sequence(nl, 40, rng);
+    SimOptions serial;
+    serial.strategy = Strategy::Mot;
+    const PipelineResult r1 = run_pipeline(nl, faults, seq, serial);
+    ASSERT_TRUE(r1.explicit_state) << name;
+    for (const std::size_t threads : {0u, 4u}) {
+      SimOptions sharded = serial;
+      sharded.threads = threads;
+      const PipelineResult rn = run_pipeline(nl, faults, seq, sharded);
+      EXPECT_TRUE(rn.explicit_state) << name << " @" << threads;
+      EXPECT_EQ(rn.status, r1.status) << name << " @" << threads;
+      EXPECT_EQ(rn.detect_frame, r1.detect_frame) << name << " @" << threads;
+      EXPECT_EQ(rn.detected_symbolic, r1.detected_symbolic);
+    }
+  }
+}
+
 struct Recorder final : CheckpointSink {
   std::vector<ChunkCheckpoint> records;
   void on_checkpoint(const ChunkCheckpoint& ck) override {

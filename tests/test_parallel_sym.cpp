@@ -294,8 +294,12 @@ TEST(ParallelSymSim, ProgressCallbacksUseGlobalFaultIndices) {
 // run_pipeline threads knob
 // ---------------------------------------------------------------------------
 
+// Circuits with at most 8 flip-flops run their symbolic stage on the
+// serial explicit-state engine whatever `threads` says, so these tests
+// use larger circuits to reach ParallelSymSim.
+
 TEST(PipelineThreads, ShardedStageMatchesSerialOnRegistryCircuits) {
-  for (const char* name : {"s27", "s208.1", "s344"}) {
+  for (const char* name : {"s298", "s344", "s713"}) {
     const Netlist nl = make_benchmark(name);
     const CollapsedFaultList faults(nl);
     Rng rng(31);
@@ -304,6 +308,7 @@ TEST(PipelineThreads, ShardedStageMatchesSerialOnRegistryCircuits) {
     SimOptions serial;
     serial.strategy = Strategy::Mot;
     const PipelineResult r1 = run_pipeline(nl, faults.faults(), seq, serial);
+    ASSERT_FALSE(r1.explicit_state) << name;
     ASSERT_FALSE(r1.used_fallback) << name;
 
     for (std::size_t threads : {2u, 4u, 8u}) {
@@ -319,7 +324,7 @@ TEST(PipelineThreads, ShardedStageMatchesSerialOnRegistryCircuits) {
 }
 
 TEST(PipelineThreads, ThreadsZeroUsesHardwareDefault) {
-  const Netlist nl = make_s27();
+  const Netlist nl = make_benchmark("s298");
   const CollapsedFaultList faults(nl);
   Rng rng(37);
   const TestSequence seq = random_sequence(nl, 24, rng);
@@ -329,6 +334,7 @@ TEST(PipelineThreads, ThreadsZeroUsesHardwareDefault) {
   all_cores.threads = 0;
   const PipelineResult r1 = run_pipeline(nl, faults.faults(), seq, serial);
   const PipelineResult r0 = run_pipeline(nl, faults.faults(), seq, all_cores);
+  ASSERT_FALSE(r0.explicit_state);
   EXPECT_EQ(r0.status, r1.status);
   EXPECT_EQ(r0.detect_frame, r1.detect_frame);
 }

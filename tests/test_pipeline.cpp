@@ -154,7 +154,10 @@ TEST(Pipeline, DetectFrameMatchesDirectThreeValuedRun) {
 }
 
 TEST(Pipeline, DetectFrameIsThreadCountInvariant) {
-  const Netlist nl = make_benchmark("s208.1");
+  // More than 8 flip-flops, so threads = 4 runs ParallelSymSim rather
+  // than the serial explicit-state engine; no window opens, so the
+  // sharded run must equal the serial one.
+  const Netlist nl = make_benchmark("s382");
   const CollapsedFaultList faults(nl);
   Rng rng(8);
   const TestSequence seq = random_sequence(nl, 60, rng);
@@ -165,6 +168,8 @@ TEST(Pipeline, DetectFrameIsThreadCountInvariant) {
   sharded.threads = 4;
   const PipelineResult r1 = run_pipeline(nl, faults.faults(), seq, serial);
   const PipelineResult r4 = run_pipeline(nl, faults.faults(), seq, sharded);
+  ASSERT_FALSE(r4.explicit_state);
+  ASSERT_FALSE(r1.used_fallback);
   EXPECT_EQ(r1.status, r4.status);
   EXPECT_EQ(r1.detect_frame, r4.detect_frame);
 }
